@@ -7,6 +7,8 @@
 
 #include "sampletrack/detectors/SamplingOrderedListDetector.h"
 
+#include <cassert>
+
 using namespace sampletrack;
 
 SamplingOrderedListDetector::SamplingOrderedListDetector(
@@ -69,18 +71,33 @@ void SamplingOrderedListDetector::publishLocalTime(ThreadId T,
   }
 }
 
-unsigned SamplingOrderedListDetector::applyEntry(ThreadId T, ThreadId Of,
-                                                 ClockValue Val) {
-  // A thread's own component is authored locally; foreign copies of it can
-  // never be fresher.
-  if (Of == T)
-    return 0;
+void SamplingOrderedListDetector::applyEntry(ThreadId T, ThreadId Of,
+                                             ClockValue Val) {
   ThreadState &TS = Threads[T];
-  if (Val <= TS.O->get(Of))
-    return 0;
+  assert(Of != T && Val > TS.O->get(Of) && "entry not ahead");
   ensureOwned(T);
   TS.O->set(Of, Val);
-  return 1;
+}
+
+unsigned SamplingOrderedListDetector::joinList(ThreadId T,
+                                               const OrderedList &Src,
+                                               size_t K, ThreadId SrcTid,
+                                               ClockValue SrcOwnTime) {
+  ThreadState &TS = Threads[T];
+  unsigned Changed = 0;
+  auto Current = [&TS](ThreadId Of) { return TS.O->get(Of); };
+  auto Apply = [&](ThreadId Of, ClockValue Val) {
+    applyEntry(T, Of, Val);
+    ++Changed;
+  };
+  // The source's own component travels out of line (LocalEpochOpt keeps
+  // it out of the shared list); apply it first. SrcTid != T: an acquire of
+  // one's own release is always skipped, and no thread forks or joins itself.
+  assert(SrcTid != T && "self-join");
+  if (SrcOwnTime > Current(SrcTid))
+    Apply(SrcTid, SrcOwnTime);
+  Stats.EntriesTraversed += Src.visitPrefixAhead(K, T, Current, Apply);
+  return Changed;
 }
 
 void SamplingOrderedListDetector::acquireLike(ThreadId T, SyncId L) {
@@ -106,17 +123,11 @@ void SamplingOrderedListDetector::acquireLike(ThreadId T, SyncId L) {
   ClockValue D = S.UScalar - Known;
   TS.U.set(S.LastReleaser, S.UScalar);
 
-  unsigned Changed = 0;
-  // The releaser's own component travels as a scalar (LocalEpochOpt keeps
-  // it out of the shared list); apply it first.
+  // The releaser's scalar is one visited entry; by Proposition 6 only the
+  // first D list entries can be ahead of us.
   ++Stats.EntriesTraversed;
-  Changed += applyEntry(T, S.LastReleaser, S.OwnTimeAtRelease);
-  // Only the first D list entries can be ahead of us (Proposition 6).
-  S.Ref->visitPrefix(static_cast<size_t>(D),
-                     [&](ThreadId Of, ClockValue Val) {
-                       ++Stats.EntriesTraversed;
-                       Changed += applyEntry(T, Of, Val);
-                     });
+  unsigned Changed = joinList(T, *S.Ref, static_cast<size_t>(D),
+                              S.LastReleaser, S.OwnTimeAtRelease);
   Stats.TraversalOpportunities += numThreads();
   TS.U.bump(T, Changed);
 }
@@ -147,9 +158,13 @@ void SamplingOrderedListDetector::joinFromVectorClock(ThreadId T,
   }
   unsigned Changed = 0;
   for (ThreadId Of = 0; Of < numThreads(); ++Of) {
-    ++Stats.EntriesTraversed;
-    Changed += applyEntry(T, Of, C.get(Of));
+    // visitPrefixAhead's rule, over an owned clock.
+    if (Of != T && C.get(Of) > TS.O->get(Of)) {
+      applyEntry(T, Of, C.get(Of));
+      ++Changed;
+    }
   }
+  Stats.EntriesTraversed += numThreads();
   Stats.TraversalOpportunities += numThreads();
   ++Stats.FullClockOps;
   TS.U.bump(T, Changed);
@@ -192,12 +207,7 @@ void SamplingOrderedListDetector::onFork(ThreadId Parent, ThreadId Child) {
   ThreadState &C = Threads[Child];
   C.U.joinWith(P.U);
   ++Stats.FullClockOps;
-  unsigned Changed = 0;
-  for (ThreadId Of = 0; Of < numThreads(); ++Of) {
-    ++Stats.EntriesTraversed;
-    ClockValue Val = (Of == Parent) ? P.OwnTime : P.O->get(Of);
-    Changed += applyEntry(Child, Of, Val);
-  }
+  unsigned Changed = joinList(Child, *P.O, numThreads(), Parent, P.OwnTime);
   Stats.TraversalOpportunities += numThreads();
   ++Stats.FullClockOps;
   C.U.bump(Child, Changed);
@@ -211,12 +221,7 @@ void SamplingOrderedListDetector::onJoin(ThreadId Parent, ThreadId Child) {
   ThreadState &C = Threads[Child];
   P.U.joinWith(C.U);
   ++Stats.FullClockOps;
-  unsigned Changed = 0;
-  for (ThreadId Of = 0; Of < numThreads(); ++Of) {
-    ++Stats.EntriesTraversed;
-    ClockValue Val = (Of == Child) ? C.OwnTime : C.O->get(Of);
-    Changed += applyEntry(Parent, Of, Val);
-  }
+  unsigned Changed = joinList(Parent, *C.O, numThreads(), Child, C.OwnTime);
   Stats.TraversalOpportunities += numThreads();
   ++Stats.FullClockOps;
   P.U.bump(Parent, Changed);

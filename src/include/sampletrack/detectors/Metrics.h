@@ -60,9 +60,14 @@ struct Metrics {
   uint64_t PoolHits = 0;
   uint64_t CowBreaks = 0;
 
-  /// Ordered-list join economics: entries actually visited during acquire
-  /// joins, and the number that a vanilla vector clock would have visited
-  /// (T per non-skipped acquire). SavedTraversals = Opportunities - Visited.
+  /// Ordered-list join economics. EntriesTraversed counts Algorithm 4's
+  /// visited prefix: 1 for the releaser's out-of-line scalar plus min(D, T)
+  /// per processed single-source acquire (D = U_l - U_t(LR_l)), and T per
+  /// fork, join or multi-source join. A visit is one compare against the
+  /// acquirer's component; only entries strictly ahead are applied (copy-
+  /// on-write break, move to the head). TraversalOpportunities is what a
+  /// vanilla vector clock would have visited (T per non-skipped acquire).
+  /// SavedTraversals = Opportunities - Visited.
   uint64_t EntriesTraversed = 0;
   uint64_t TraversalOpportunities = 0;
 

@@ -9,9 +9,15 @@
 /// The nearly optimal engine "SO" (Algorithm 4): sampling clocks stored in
 /// ordered lists, shared between threads and locks by shallow reference with
 /// copy-on-write, plus the scalar freshness check. A release is O(1); an
-/// acquire traverses only the U_l - U_t(LR_l) freshest list entries
-/// (Proposition 6). Total timestamping work is O(|S| T^2), independent of
-/// the number of locks, and instance optimal up to a factor T (Lemma 9).
+/// acquire traverses only the D = U_l - U_t(LR_l) freshest list entries
+/// (Proposition 6). Visiting an entry is one compare against the
+/// acquirer's component (OrderedList::visitPrefixAhead); only entries
+/// strictly ahead pay for the copy-on-write break and the move to the
+/// head. Metrics::EntriesTraversed counts the visits: 1 for the releaser's
+/// out-of-line scalar plus min(D, T) per processed single-source acquire,
+/// and T per fork, join or multi-source join. Total timestamping work is
+/// O(|S| T^2), independent of the number of locks, and instance optimal up
+/// to a factor T (Lemma 9).
 /// The race-check and snapshot passes (dominatesWithOverride,
 /// toVectorClock) run over the list's SoA time array through the simd
 /// clock kernels.
@@ -137,9 +143,17 @@ private:
   /// place when unique, else a pooled deep copy (a CowBreak).
   void ensureOwned(ThreadId T);
 
-  /// Applies one foreign entry (\p Of, \p Val) to thread \p T's list.
-  /// Returns 1 if the entry strictly increased, else 0.
-  unsigned applyEntry(ThreadId T, ThreadId Of, ClockValue Val);
+  /// Applies one foreign entry (\p Of, \p Val) that is strictly ahead of
+  /// thread \p T's component: re-owns the list (copy-on-write) and moves
+  /// the entry to the head.
+  void applyEntry(ThreadId T, ThreadId Of, ClockValue Val);
+
+  /// Joins the first \p K entries of \p Src, plus its owner \p SrcTid's
+  /// out-of-line component \p SrcOwnTime (applied first), into thread
+  /// \p T's list by OrderedList::visitPrefixAhead. Adds the min(K, T)
+  /// visited list entries to EntriesTraversed; returns the number applied.
+  unsigned joinList(ThreadId T, const OrderedList &Src, size_t K,
+                    ThreadId SrcTid, ClockValue SrcOwnTime);
 
   /// The acquire fast/slow path against a single-source snapshot.
   void acquireLike(ThreadId T, SyncId L);

@@ -189,8 +189,21 @@ private:
   /// Lines 19-21 of Algorithm 2: publish e_t if the thread performed a
   /// sampled access since the last release-like event.
   void flushLocalEpoch(ThreadId T);
-  /// SO: apply one foreign component, copy-on-write. Returns 1 on change.
-  unsigned soApplyEntry(ThreadId T, ThreadId Of, ClockValue Val);
+  /// SO: applies one foreign entry that is strictly ahead of thread \p T's
+  /// component: copy-on-write break if the list is shared, then the move
+  /// to the head. Only entries that passed OrderedList::visitPrefixAhead's
+  /// compare get here; every other visited entry costs that compare alone.
+  /// Metrics::EntriesTraversed counts the visits: 1 for the releaser's
+  /// out-of-line scalar plus min(D, T) per processed single-source acquire,
+  /// and T per fork, join or multi-source join.
+  void soApplyEntry(ThreadId T, ThreadId Of, ClockValue Val);
+  /// SO: joins the first \p K entries of \p Src, plus its owner \p SrcTid's
+  /// out-of-line component \p SrcOwnTime (applied first), into thread
+  /// \p T's list. Adds the min(K, T) visited list entries to \p Charged;
+  /// returns the number of entries applied.
+  unsigned soJoinList(ThreadId T, const OrderedList &Src, size_t K,
+                      ThreadId SrcTid, ClockValue SrcOwnTime,
+                      Metrics &Charged);
   /// Appends \p E to the recorded trace if recording is enabled.
   void record(const Event &E);
 

@@ -108,6 +108,29 @@ public:
     }
   }
 
+  /// Algorithm 4's join rule, for the SO engines' acquires, forks and
+  /// joins: visits the first min(K, T) entries in list order and hands
+  /// \p Apply (ThreadId, ClockValue) only those strictly ahead of the
+  /// acquiring thread \p Self, i.e. Of != Self && Val > Current(Of). A
+  /// visit is that compare and nothing else; \p Current (ThreadId ->
+  /// ClockValue) reads the acquirer's component at visit time, so it sees
+  /// earlier applies. \p Self's own component is authored locally, so a
+  /// foreign copy of it is never fresher. Returns the number of entries
+  /// visited, min(K, T).
+  template <typename CurrentT, typename ApplyT>
+  size_t visitPrefixAhead(size_t K, ThreadId Self, CurrentT Current,
+                          ApplyT Apply) const {
+    ThreadId Cur = Head;
+    size_t I = 0;
+    for (; I < K && Cur != NoThread; ++I) {
+      ClockValue Val = Times[Cur];
+      if (Cur != Self && Val > Current(Cur))
+        Apply(Cur, Val);
+      Cur = NextLink[Cur];
+    }
+    return I;
+  }
+
   /// Pointwise comparison against a plain vector clock: every component of
   /// \p C is <= the corresponding component here, where component
   /// \p OverrideTid of *this* is taken to be \p OverrideVal (the effective

@@ -455,12 +455,9 @@ void Runtime::reclaimCell(Shadow &Sh, uint64_t Addr) {
   Sh.SR.reset();
 }
 
-unsigned Runtime::soApplyEntry(ThreadId T, ThreadId Of, ClockValue Val) {
-  if (Of == T)
-    return 0;
+void Runtime::soApplyEntry(ThreadId T, ThreadId Of, ClockValue Val) {
   ThreadState &TS = I->Threads[T];
-  if (Val <= TS.O->get(Of))
-    return 0;
+  assert(Of != T && Val > TS.O->get(Of) && "entry not ahead");
   if (TS.ListShared) {
     if (TS.O.unique()) {
       // All snapshot references were overwritten by newer releases; only
@@ -481,7 +478,26 @@ unsigned Runtime::soApplyEntry(ThreadId T, ThreadId Of, ClockValue Val) {
     }
   }
   TS.O->set(Of, Val);
-  return 1;
+}
+
+unsigned Runtime::soJoinList(ThreadId T, const OrderedList &Src, size_t K,
+                             ThreadId SrcTid, ClockValue SrcOwnTime,
+                             Metrics &Charged) {
+  ThreadState &TS = I->Threads[T];
+  unsigned Changed = 0;
+  auto Current = [&TS](ThreadId Of) { return TS.O->get(Of); };
+  auto Apply = [&](ThreadId Of, ClockValue Val) {
+    soApplyEntry(T, Of, Val);
+    ++Changed;
+  };
+  // The source's own component lives out of line (local-epoch
+  // optimization); apply it first. SrcTid != T: an acquire of one's own
+  // release is always skipped, and no thread forks or joins itself.
+  assert(SrcTid != T && "self-join");
+  if (SrcOwnTime > Current(SrcTid))
+    Apply(SrcTid, SrcOwnTime);
+  Charged.EntriesTraversed += Src.visitPrefixAhead(K, T, Current, Apply);
+  return Changed;
 }
 
 //===----------------------------------------------------------------------===//
@@ -673,11 +689,13 @@ void Runtime::onAcquire(ThreadId T, SyncId L) {
     return;
   }
   case Mode::SO: {
-    // Only the O(1) snapshot read happens under the sync mutex; the prefix
-    // traversal works on immutable data and thread-owned state.
+    // Only the scalar freshness check and the O(1) snapshot read happen
+    // under the sync mutex, so a skipped acquire never takes a snapshot
+    // reference; the prefix traversal works on immutable data and
+    // thread-owned state.
     ListSnapshot Ref;
-    ThreadId LR;
-    ClockValue UScalar, OwnAtRel;
+    ThreadId LR = NoThread;
+    ClockValue D = 0, OwnAtRel = 0;
     {
       std::lock_guard<std::mutex> G(S.M);
       if (!S.Initialized || (!S.MultiSource && S.LastReleaser == NoThread)) {
@@ -692,35 +710,35 @@ void Runtime::onAcquire(ThreadId T, SyncId L) {
         ++TS.Stats.FullClockOps;
         unsigned Changed = 0;
         for (ThreadId Of = 0; Of < Cfg.MaxThreads; ++Of) {
-          ++TS.Stats.EntriesTraversed;
-          Changed += soApplyEntry(T, Of, S.C.get(Of));
+          // visitPrefixAhead's rule, over an owned clock.
+          if (Of != T && S.C.get(Of) > TS.O->get(Of)) {
+            soApplyEntry(T, Of, S.C.get(Of));
+            ++Changed;
+          }
         }
+        TS.Stats.EntriesTraversed += Cfg.MaxThreads;
         TS.Stats.TraversalOpportunities += Cfg.MaxThreads;
         ++TS.Stats.FullClockOps;
         TS.U.bump(T, Changed);
         return;
       }
-      Ref = S.Ref;
       LR = S.LastReleaser;
-      UScalar = S.UScalar;
+      ClockValue Known = TS.U.get(LR);
+      if (S.UScalar <= Known) {
+        ++TS.Stats.AcquiresSkipped;
+        return;
+      }
+      D = S.UScalar - Known;
+      TS.U.set(LR, S.UScalar);
+      Ref = S.Ref;
       OwnAtRel = S.OwnTimeAtRelease;
     }
-    ClockValue Known = TS.U.get(LR);
-    if (UScalar <= Known) {
-      ++TS.Stats.AcquiresSkipped;
-      return;
-    }
     ++TS.Stats.AcquiresProcessed;
-    ClockValue D = UScalar - Known;
-    TS.U.set(LR, UScalar);
-    unsigned Changed = 0;
+    // The releaser's scalar is one visited entry; by Proposition 6 only the
+    // first D list entries can be ahead of us.
     ++TS.Stats.EntriesTraversed;
-    Changed += soApplyEntry(T, LR, OwnAtRel);
-    Ref->visitPrefix(static_cast<size_t>(D),
-                     [&](ThreadId Of, ClockValue Val) {
-                       ++TS.Stats.EntriesTraversed;
-                       Changed += soApplyEntry(T, Of, Val);
-                     });
+    unsigned Changed = soJoinList(T, *Ref, static_cast<size_t>(D), LR,
+                                  OwnAtRel, TS.Stats);
     TS.Stats.TraversalOpportunities += Cfg.MaxThreads;
     TS.U.bump(T, Changed);
     return;
@@ -859,12 +877,8 @@ void Runtime::onFork(ThreadId Parent, ThreadId Child) {
     flushLocalEpoch(Parent);
     C.U.joinWith(P.U);
     ++P.Stats.FullClockOps;
-    unsigned Changed = 0;
-    for (ThreadId Of = 0; Of < Cfg.MaxThreads; ++Of) {
-      ClockValue Val = (Of == Parent) ? P.OwnTime : P.O->get(Of);
-      Changed += soApplyEntry(Child, Of, Val);
-    }
-    P.Stats.EntriesTraversed += Cfg.MaxThreads;
+    unsigned Changed =
+        soJoinList(Child, *P.O, Cfg.MaxThreads, Parent, P.OwnTime, P.Stats);
     P.Stats.TraversalOpportunities += Cfg.MaxThreads;
     C.U.bump(Child, Changed);
     return;
@@ -915,12 +929,8 @@ void Runtime::onJoin(ThreadId Parent, ThreadId Child) {
     flushLocalEpoch(Child);
     P.U.joinWith(C.U);
     ++P.Stats.FullClockOps;
-    unsigned Changed = 0;
-    for (ThreadId Of = 0; Of < Cfg.MaxThreads; ++Of) {
-      ClockValue Val = (Of == Child) ? C.OwnTime : C.O->get(Of);
-      Changed += soApplyEntry(Parent, Of, Val);
-    }
-    P.Stats.EntriesTraversed += Cfg.MaxThreads;
+    unsigned Changed =
+        soJoinList(Parent, *C.O, Cfg.MaxThreads, Child, C.OwnTime, P.Stats);
     P.Stats.TraversalOpportunities += Cfg.MaxThreads;
     P.U.bump(Parent, Changed);
     return;

@@ -20,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 using namespace sampletrack;
@@ -176,6 +177,45 @@ TEST(OrderedList, PrefixCoversMostRecentUpdates) {
                   [&](ThreadId T, ClockValue) { Prefix.push_back(T); });
     Prefix.resize(RecencyOrder.size());
     EXPECT_EQ(Prefix, RecencyOrder);
+  }
+}
+
+TEST(OrderedList, VisitPrefixAheadMatchesPerEntryLoop) {
+  // Property: on random (source, acquirer) pairs, visitPrefixAhead applies
+  // exactly the entries, in exactly the order, that a plain visitPrefix
+  // loop with a per-entry apply-if-ahead check applies, and reports
+  // min(K, T) visited entries.
+  SplitMix64 Rng(2718);
+  for (int Iter = 0; Iter < 300; ++Iter) {
+    size_t N = 1 + Rng.nextBelow(20);
+    OrderedList Src(N), Acq(N);
+    for (int Op = 0; Op < 40; ++Op) {
+      Src.set(static_cast<ThreadId>(Rng.nextBelow(N)), Rng.nextBelow(30));
+      Acq.set(static_cast<ThreadId>(Rng.nextBelow(N)), Rng.nextBelow(30));
+    }
+    ThreadId Self = static_cast<ThreadId>(Rng.nextBelow(N));
+    size_t K = Rng.nextBelow(N + 3);
+
+    using Applied = std::vector<std::pair<ThreadId, ClockValue>>;
+    OrderedList Ref = Acq;
+    Applied RefApplied;
+    Src.visitPrefix(K, [&](ThreadId Of, ClockValue Val) {
+      if (Of == Self || Val <= Ref.get(Of))
+        return;
+      RefApplied.emplace_back(Of, Val);
+      Ref.set(Of, Val);
+    });
+
+    Applied Got;
+    size_t Visited = Src.visitPrefixAhead(
+        K, Self, [&](ThreadId Of) { return Acq.get(Of); },
+        [&](ThreadId Of, ClockValue Val) {
+          Got.emplace_back(Of, Val);
+          Acq.set(Of, Val);
+        });
+    ASSERT_EQ(Visited, std::min(K, N)) << "iter " << Iter;
+    ASSERT_EQ(Got, RefApplied) << "iter " << Iter;
+    ASSERT_EQ(Acq.str(), Ref.str()) << "iter " << Iter;
   }
 }
 
