@@ -26,6 +26,14 @@
 /// (copy-on-write), so references can be handed across threads under the
 /// sync mutex alone.
 ///
+/// Shadow layout: a cell is 48 bytes, FastTrack's epochs plus a pointer to
+/// one flat history buffer of MaxThreads words (FT's read-shared vector
+/// clock) or 2 x MaxThreads words (the sampling modes' read history Cr_x,
+/// then the write history Cw_x), allocated on the cell's first need. The
+/// cell stores each history's active-prefix length and keeps every word
+/// past it zero, so an access check is one pointer hop and a raw-array
+/// compare, and an evicted address's history is zeroed in place.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SAMPLETRACK_RUNTIME_RUNTIME_H
@@ -75,20 +83,24 @@ struct Config {
   uint64_t Seed = 1;
   /// Fixed vector-clock size; threads beyond this cannot register (TSan v3
   /// uses a fixed 256-slot clock; we default lower to match our workloads).
+  /// The runtime raises 0 to 1: thread 0 is always pre-registered.
   size_t MaxThreads = 64;
-  /// Number of shadow cells (addresses are hashed into this space).
+  /// Number of shadow cells (addresses are hashed into this space). The
+  /// runtime raises it to at least ShadowShards.
   size_t ShadowCells = 1 << 16;
-  /// Number of shard mutexes protecting the shadow table.
+  /// Number of shard mutexes protecting the shadow table. The runtime
+  /// raises 0 to 1. \ref Runtime::config reports the values in use.
   size_t ShadowShards = 256;
   /// Record every hook invocation as an offline trace event (under a global
   /// mutex — slow; for debugging and cross-validation against the offline
   /// engines). Access events carry their sampling decision in the Marked
   /// bit, so an offline replay sees the identical sample set.
   bool RecordTrace = false;
-  /// Serve snapshot buffers (SO's copy-on-write lists, lazily allocated
-  /// shadow-history clocks) from a recycling SnapshotPool instead of the
-  /// allocator. Results are identical either way; only the PoolHits metric
-  /// (and allocator traffic) moves. The differential tests run both.
+  /// Serve SO's copy-on-write ordered-list snapshots from a recycling
+  /// SnapshotPool instead of the allocator. Results are identical either
+  /// way; only the PoolHits metric (and allocator traffic) moves, and only
+  /// under SO. Shadow access histories are never pooled: each cell reuses
+  /// its own buffer in place.
   bool PoolingEnabled = true;
   /// Distinct-signature capacity of each thread's race sink (0 = the
   /// default, 1<<16 per thread). Race declarations dedup into per-thread
@@ -118,6 +130,8 @@ public:
   Runtime(const Runtime &) = delete;
   Runtime &operator=(const Runtime &) = delete;
 
+  /// The configuration in use: \p C as passed to the constructor, with its
+  /// sizing fields normalized (see Config::MaxThreads).
   const Config &config() const { return Cfg; }
 
   /// Registers the calling thread; returns its dense id. Must be called
@@ -182,10 +196,12 @@ private:
   /// Direct-mapped shadow ownership: claims the cell for \p Addr, dropping
   /// a colliding address's history (see Shadow::Owner). Shard lock held.
   void reclaimCell(Shadow &Sh, uint64_t Addr);
-  /// Sampling modes: history <= effective clock C_t[t -> e_t]?
-  bool dominatesHistory(ThreadId T, const VectorClock &H);
-  /// Sampling modes: materialize the effective clock into \p Out.
-  void snapshotEffective(ThreadId T, VectorClock &Out);
+  /// Sampling modes: is the flat history \p H, with active prefix \p Len,
+  /// <= the effective clock C_t[t -> e_t]?
+  bool dominatesHistory(ThreadId T, const ClockValue *H, size_t Len);
+  /// Sampling modes: overwrites the flat write history \p W, whose active
+  /// prefix is \p Len, with the effective clock and updates \p Len.
+  void snapshotEffective(ThreadId T, ClockValue *W, uint32_t &Len);
   /// Lines 19-21 of Algorithm 2: publish e_t if the thread performed a
   /// sampled access since the last release-like event.
   void flushLocalEpoch(ThreadId T);

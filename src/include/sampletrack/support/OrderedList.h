@@ -89,6 +89,10 @@ public:
     moveToHead(T);
   }
 
+  /// The time array, indexed by thread id (\ref size entries): a read-only
+  /// view for raw-array comparisons against flat access histories.
+  const ClockValue *data() const { return Times.data(); }
+
   /// Thread id at the head of the list, or NoThread when empty.
   ThreadId head() const { return Head; }
 
@@ -140,15 +144,8 @@ public:
   bool dominatesWithOverride(const VectorClock &C, ThreadId OverrideTid,
                              ClockValue OverrideVal) const {
     assert(C.size() == Times.size() && "clock size mismatch");
-    const ClockValue *Theirs = C.data();
-    const ClockValue *Mine = Times.data();
-    size_t N = C.activeLen();
-    if (OverrideTid >= N)
-      return simd::allLeq(Theirs, Mine, N);
-    return Theirs[OverrideTid] <= OverrideVal &&
-           simd::allLeq(Theirs, Mine, OverrideTid) &&
-           simd::allLeq(Theirs + OverrideTid + 1, Mine + OverrideTid + 1,
-                        N - OverrideTid - 1);
+    return simd::allLeqWithOverride(C.data(), Times.data(), C.activeLen(),
+                                    OverrideTid, OverrideVal);
   }
 
   /// Materializes the timestamp into \p Out, overriding component

@@ -6,10 +6,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A free-list pool of refcounted snapshot buffers (OrderedList, TreeClock,
-/// VectorClock) backing the zero-allocation hot path of the copy-on-write
-/// publish scheme (Algorithm 4's shared lists, and the analogous tree-clock
-/// and shadow-history buffers).
+/// A free-list pool of refcounted snapshot buffers (OrderedList, TreeClock)
+/// backing the zero-allocation hot path of the copy-on-write publish scheme
+/// (Algorithm 4's shared lists, and the analogous tree-clock buffers).
 ///
 /// The cycle: a thread publishes its clock as an immutable shared snapshot
 /// (a cheap \ref SnapshotPool::Ref copy), keeps mutating only after a

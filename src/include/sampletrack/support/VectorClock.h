@@ -111,13 +111,8 @@ public:
   bool leqWithOverride(const VectorClock &Other, ThreadId OverrideTid,
                        ClockValue OverrideVal) const {
     assert(Values.size() == Other.Values.size() && "clock size mismatch");
-    const ClockValue *A = Values.data(), *B = Other.Values.data();
-    if (OverrideTid >= Active) // Our component there is zero: always <=.
-      return simd::allLeq(A, B, Active);
-    return A[OverrideTid] <= OverrideVal &&
-           simd::allLeq(A, B, OverrideTid) &&
-           simd::allLeq(A + OverrideTid + 1, B + OverrideTid + 1,
-                        Active - OverrideTid - 1);
+    return simd::allLeqWithOverride(Values.data(), Other.Values.data(), Active,
+                                    OverrideTid, OverrideVal);
   }
 
   /// Pointwise maximum with \p Other (the join of Eq. 4). Scans only the

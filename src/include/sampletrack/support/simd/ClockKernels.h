@@ -119,6 +119,22 @@ inline bool allLeq(const ClockValue *A, const ClockValue *B, size_t N) {
   return detail::table()->AllLeq(A, B, N);
 }
 
+/// True iff A[i] <= B'[i] for every i in [0, N), where B' is B with
+/// component \p OverrideTid read as \p OverrideVal. This is the sampling
+/// engines' race check "history A \f$ \sqsubseteq \f$ C_t[t -> e_t]", run
+/// against the effective clock without materializing it; N is A's active
+/// prefix (A's trailing zeros are <= anything). An override at or past N
+/// meets one of those zeros and drops out.
+inline bool allLeqWithOverride(const ClockValue *A, const ClockValue *B,
+                               size_t N, ThreadId OverrideTid,
+                               ClockValue OverrideVal) {
+  if (OverrideTid >= N)
+    return allLeq(A, B, N);
+  return A[OverrideTid] <= OverrideVal && allLeq(A, B, OverrideTid) &&
+         allLeq(A + OverrideTid + 1, B + OverrideTid + 1,
+                N - OverrideTid - 1);
+}
+
 /// Sum of V[0..N) (mod 2^64; addition commutes, so lane order is free).
 inline ClockValue sum(const ClockValue *V, size_t N) {
   if (N < detail::DispatchThreshold) {

@@ -9,6 +9,7 @@
 
 #include "sampletrack/support/SnapshotPool.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cassert>
 
@@ -46,18 +47,21 @@ inline uint64_t hashAddress(uint64_t Addr) {
 /// distinct signatures per thread is effectively unbounded.
 constexpr size_t DefaultThreadSinkCapacity = 1 << 16;
 
-} // namespace
-
-namespace {
-
-/// Pooled snapshot reference types of the online hot path: SO's shared
-/// ordered lists (recycled whenever a newer release overwrites the last
-/// snapshot reference) and the lazily allocated shadow-history clocks.
+/// SO's shared ordered lists, recycled whenever a newer release overwrites
+/// the last snapshot reference.
 using ListRef = SnapshotPool<OrderedList>::Ref;
 /// Read-only view for published list snapshots (immutable while shared;
 /// const-enforced, as the old shared_ptr<const OrderedList> was).
 using ListSnapshot = SnapshotPool<OrderedList>::ConstRef;
-using ClockRef = SnapshotPool<VectorClock>::Ref;
+
+/// \p C with its sizing fields raised to what the tables can index: one
+/// thread (thread 0 is pre-registered), one shard, one cell per shard.
+Config normalized(Config C) {
+  C.MaxThreads = std::max<size_t>(C.MaxThreads, 1);
+  C.ShadowShards = std::max<size_t>(C.ShadowShards, 1);
+  C.ShadowCells = std::max(C.ShadowCells, C.ShadowShards);
+  return C;
+}
 
 } // namespace
 
@@ -128,9 +132,15 @@ struct Runtime::SyncState {
   std::vector<bool> AcquiredSince;
 };
 
-/// One shadow cell: FastTrack epochs for FT mode, vector-clock access
-/// histories for the sampling modes (allocated lazily — only sampled
-/// accesses ever need them).
+/// One shadow cell: FastTrack's epochs plus one flat history buffer,
+/// allocated on the cell's first need (only FT's read-shared promotion and
+/// sampled accesses ever need it). With T = Config::MaxThreads, FT keeps
+/// its read vector clock in words [0, T); the sampling modes keep
+/// Algorithm 2's read history Cr_x in [0, T) and write history Cw_x in
+/// [T, 2T). RLen and WLen are the histories' active prefixes, and every
+/// word at or past its prefix is zero, so a check scans only the prefix
+/// and a reclaim zeroes only the prefix, reusing the buffer in place. The
+/// histories are never shared, so nothing is reference-counted or pooled.
 struct Runtime::Shadow {
   /// Direct-mapped ownership: the address whose history this cell holds
   /// (0 = never claimed; real addresses are never 0). Cells are a hash
@@ -142,25 +152,30 @@ struct Runtime::Shadow {
   /// eviction.
   uint64_t Owner = 0;
   // FT epochs.
-  ThreadId WTid = 0;
   ClockValue WClk = 0;
-  ThreadId RTid = 0;
   ClockValue RClk = 0;
-  bool ReadShared = false;
-  ClockRef RVC;
-  // Sampling histories (Cw_x / Cr_x of Algorithm 2).
-  ClockRef SW, SR;
+  std::unique_ptr<ClockValue[]> Hist;
+  ThreadId WTid = 0;
+  ThreadId RTid = 0;
+  /// Active prefix of the read history. FT's read is read-shared exactly
+  /// when this is nonzero: a promotion stores two nonzero epochs.
+  uint32_t RLen = 0;
+  /// Active prefix of the write history (sampling modes; 0 under FT).
+  uint32_t WLen = 0;
 };
 
 struct Runtime::Impl {
   explicit Impl(const Config &C)
-      : Threads(C.MaxThreads), Syncs(MaxSyncs), Cells(C.ShadowCells),
+      : HistWords(C.AnalysisMode == Mode::FT ? C.MaxThreads
+                                             : 2 * C.MaxThreads),
+        Threads(C.MaxThreads), Syncs(MaxSyncs), Cells(C.ShadowCells),
         Shards(C.ShadowShards) {
     ListPool.setEnabled(C.PoolingEnabled);
-    ClockPool.setEnabled(C.PoolingEnabled);
     if (C.ProfilingEnabled)
       Prof = std::make_unique<prof::Profiler>();
   }
+
+  static_assert(sizeof(Shadow) <= 48, "the shadow table is 64K cells");
 
   /// Self-profiler (null unless Config::ProfilingEnabled). Trees are
   /// per-thread and single-writer; makeTree itself is mutex-protected, so
@@ -170,20 +185,17 @@ struct Runtime::Impl {
   static constexpr size_t MaxSyncs = 1 << 14;
 
   /// Declared before the state tables: the tables' outstanding references
-  /// drain back into the pools on destruction.
+  /// drain back into the pool on destruction.
   SnapshotPool<OrderedList> ListPool;
-  SnapshotPool<VectorClock> ClockPool;
 
-  /// A zeroed pooled clock of \p NumThreads components, charging the pool
-  /// hit (if any) to \p Stats.
-  ClockRef acquireClock(size_t NumThreads, Metrics &Stats) {
-    bool Reused = false;
-    ClockRef R = ClockPool.acquire(&Reused);
-    Stats.PoolHits += Reused ? 1 : 0;
-    if (R->size() < NumThreads)
-      R->resize(NumThreads);
-    R->clear();
-    return R;
+  /// Words in a shadow cell's history buffer: T for FT, 2T otherwise.
+  const size_t HistWords;
+
+  /// \p Sh's history buffer, allocated zeroed on first use.
+  ClockValue *history(Shadow &Sh) {
+    if (!Sh.Hist)
+      Sh.Hist = std::make_unique<ClockValue[]>(HistWords);
+    return Sh.Hist.get();
   }
 
   std::vector<ThreadState> Threads;
@@ -202,8 +214,8 @@ struct Runtime::Impl {
   std::vector<Event> Recorded;
 };
 
-Runtime::Runtime(const Config &C) : Cfg(C), I(std::make_unique<Impl>(C)) {
-  assert(Cfg.ShadowShards > 0 && Cfg.ShadowCells >= Cfg.ShadowShards);
+Runtime::Runtime(const Config &C)
+    : Cfg(normalized(C)), I(std::make_unique<Impl>(Cfg)) {
   // Pre-register the main thread as thread 0.
   registerThread();
 }
@@ -397,21 +409,33 @@ void Runtime::reportRace(ThreadId T, uint64_t Cell, bool OnWrite) {
   I->RacyCells.insert(Cell);
 }
 
-bool Runtime::dominatesHistory(ThreadId T, const VectorClock &H) {
+bool Runtime::dominatesHistory(ThreadId T, const ClockValue *H,
+                               size_t Len) {
   ThreadState &TS = I->Threads[T];
-  if (Cfg.AnalysisMode == Mode::SO)
-    return TS.O->dominatesWithOverride(H, T, TS.Epoch);
-  return H.leqWithOverride(TS.C, T, TS.Epoch);
+  const ClockValue *C =
+      Cfg.AnalysisMode == Mode::SO ? TS.O->data() : TS.C.data();
+  return simd::allLeqWithOverride(H, C, Len, T, TS.Epoch);
 }
 
-void Runtime::snapshotEffective(ThreadId T, VectorClock &Out) {
+void Runtime::snapshotEffective(ThreadId T, ClockValue *W, uint32_t &Len) {
   ThreadState &TS = I->Threads[T];
+  const ClockValue *Src;
+  size_t N;
   if (Cfg.AnalysisMode == Mode::SO) {
-    TS.O->toVectorClock(Out, T, TS.Epoch);
-    return;
+    // The list's time array has no high-water mark: trim its zero tail.
+    Src = TS.O->data();
+    N = Cfg.MaxThreads;
+    while (N > T + 1 && Src[N - 1] == 0)
+      --N;
+  } else {
+    Src = TS.C.data();
+    N = std::max<size_t>(TS.C.activeLen(), T + 1);
   }
-  Out.copyFrom(TS.C);
-  Out.set(T, TS.Epoch);
+  std::copy_n(Src, N, W);
+  if (Len > N)
+    std::fill(W + N, W + Len, 0);
+  W[T] = TS.Epoch;
+  Len = static_cast<uint32_t>(N);
 }
 
 void Runtime::flushLocalEpoch(ThreadId T) {
@@ -447,12 +471,13 @@ void Runtime::reclaimCell(Shadow &Sh, uint64_t Addr) {
   Sh.WClk = 0;
   Sh.RTid = 0;
   Sh.RClk = 0;
-  Sh.ReadShared = false;
-  // Retired history clocks go back to the pool; the next cell needing one
-  // reuses the buffer.
-  Sh.RVC.reset();
-  Sh.SW.reset();
-  Sh.SR.reset();
+  if (Sh.Hist) {
+    // Zero the prefixes; the buffer stays with the cell.
+    std::fill_n(Sh.Hist.get(), Sh.RLen, 0);
+    std::fill_n(Sh.Hist.get() + Cfg.MaxThreads, Sh.WLen, 0);
+  }
+  Sh.RLen = 0;
+  Sh.WLen = 0;
 }
 
 void Runtime::soApplyEntry(ThreadId T, ThreadId Of, ClockValue Val) {
@@ -528,28 +553,28 @@ void Runtime::onRead(ThreadId T, uint64_t Addr) {
     ShardLock G(I->Shards, Cell);
     reclaimCell(Sh, Addr);
     ClockValue MyClk = TS.C.get(T);
+    bool ReadShared = Sh.RLen != 0;
     // Same-epoch fast path.
-    if (!Sh.ReadShared && Sh.RTid == T && Sh.RClk == MyClk)
+    if (!ReadShared && Sh.RTid == T && Sh.RClk == MyClk)
       return;
-    if (Sh.ReadShared && Sh.RVC->get(T) == MyClk)
+    if (ReadShared && Sh.Hist[T] == MyClk)
       return;
     ++TS.Stats.RaceChecks;
     if (Sh.WClk > TS.C.get(Sh.WTid))
       reportRace(T, Cell, /*OnWrite=*/false);
-    if (Sh.ReadShared) {
-      Sh.RVC->set(T, MyClk);
+    if (ReadShared) {
+      Sh.Hist[T] = MyClk;
+      Sh.RLen = std::max(Sh.RLen, T + 1);
     } else if (Sh.RClk <= TS.C.get(Sh.RTid)) {
       Sh.RTid = T;
       Sh.RClk = MyClk;
     } else {
-      if (!Sh.RVC)
-        Sh.RVC = I->acquireClock(Cfg.MaxThreads, TS.Stats);
-      else
-        Sh.RVC->clear();
+      // Promotion: the read vector clock is all zero (RLen == 0).
+      ClockValue *RVC = I->history(Sh);
       ++TS.Stats.FullClockOps;
-      Sh.RVC->set(Sh.RTid, Sh.RClk);
-      Sh.RVC->set(T, MyClk);
-      Sh.ReadShared = true;
+      RVC[Sh.RTid] = Sh.RClk;
+      RVC[T] = MyClk;
+      Sh.RLen = std::max(Sh.RTid, T) + 1;
     }
     return;
   }
@@ -563,11 +588,11 @@ void Runtime::onRead(ThreadId T, uint64_t Addr) {
   ShardLock G(I->Shards, Cell);
   reclaimCell(Sh, Addr);
   ++TS.Stats.RaceChecks;
-  if (Sh.SW && !dominatesHistory(T, *Sh.SW))
+  ClockValue *H = I->history(Sh);
+  if (!dominatesHistory(T, H + Cfg.MaxThreads, Sh.WLen))
     reportRace(T, Cell, /*OnWrite=*/false);
-  if (!Sh.SR)
-    Sh.SR = I->acquireClock(Cfg.MaxThreads, TS.Stats);
-  Sh.SR->set(T, TS.Epoch);
+  H[T] = TS.Epoch;
+  Sh.RLen = std::max(Sh.RLen, T + 1);
 }
 
 void Runtime::onWrite(ThreadId T, uint64_t Addr) {
@@ -599,14 +624,14 @@ void Runtime::onWrite(ThreadId T, uint64_t Addr) {
     ++TS.Stats.RaceChecks;
     if (Sh.WClk > TS.C.get(Sh.WTid))
       reportRace(T, Cell, /*OnWrite=*/true);
-    if (Sh.ReadShared) {
+    if (Sh.RLen != 0) {
       ++TS.Stats.FullClockOps;
-      if (!Sh.RVC->leq(TS.C))
+      if (!simd::allLeq(Sh.Hist.get(), TS.C.data(), Sh.RLen))
         reportRace(T, Cell, /*OnWrite=*/true);
-      Sh.RVC->clear();
+      std::fill_n(Sh.Hist.get(), Sh.RLen, 0);
+      Sh.RLen = 0;
       Sh.RTid = 0;
       Sh.RClk = 0;
-      Sh.ReadShared = false;
     } else if (Sh.RClk > TS.C.get(Sh.RTid)) {
       reportRace(T, Cell, /*OnWrite=*/true);
     }
@@ -623,12 +648,11 @@ void Runtime::onWrite(ThreadId T, uint64_t Addr) {
   ShardLock G(I->Shards, Cell);
   reclaimCell(Sh, Addr);
   ++TS.Stats.RaceChecks;
-  if ((Sh.SR && !dominatesHistory(T, *Sh.SR)) ||
-      (Sh.SW && !dominatesHistory(T, *Sh.SW)))
+  ClockValue *H = I->history(Sh);
+  ClockValue *W = H + Cfg.MaxThreads;
+  if (!dominatesHistory(T, H, Sh.RLen) || !dominatesHistory(T, W, Sh.WLen))
     reportRace(T, Cell, /*OnWrite=*/true);
-  if (!Sh.SW)
-    Sh.SW = I->acquireClock(Cfg.MaxThreads, TS.Stats);
-  snapshotEffective(T, *Sh.SW);
+  snapshotEffective(T, W, Sh.WLen);
   ++TS.Stats.FullClockOps;
 }
 

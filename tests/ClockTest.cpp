@@ -476,6 +476,71 @@ TEST(SimdKernels, OrderedListInteropMatchesScalar) {
   }
 }
 
+TEST(SimdKernels, AllLeqWithOverrideMatchesScalarReference) {
+  // The one "history <= C_t[t -> e_t]" function behind
+  // VectorClock::leqWithOverride, OrderedList::dominatesWithOverride and the
+  // runtime's flat shadow check, against a loop over the materialized
+  // override, on every tier the host runs.
+  std::vector<simd::Tier> Tiers = hostSimdTiers();
+  Tiers.insert(Tiers.begin(), simd::Tier::Scalar);
+  auto Reference = [](const VectorClock &H, const VectorClock &C,
+                      ThreadId Tid, ClockValue Val) {
+    for (ThreadId I = 0; I < C.size(); ++I)
+      if (H.get(I) > (I == Tid ? Val : C.get(I)))
+        return false;
+    return true;
+  };
+  SplitMix64 Rng(1414);
+  for (size_t N = 1; N <= 17; ++N) {
+    for (int Iter = 0; Iter < 60; ++Iter) {
+      // C dominates H except, sometimes, at one component, so both verdicts
+      // and the override's deciding role all occur.
+      VectorClock H = randomClock(Rng, N);
+      VectorClock C(N);
+      for (ThreadId I = 0; I < N; ++I) {
+        ClockValue Up = Rng.nextBelow(3);
+        C.set(I, H.get(I) > ~Up ? H.get(I) : H.get(I) + Up);
+      }
+      if (Rng.nextBool(0.3)) {
+        ThreadId I = static_cast<ThreadId>(Rng.nextBelow(N));
+        if (H.get(I) > 0)
+          C.set(I, H.get(I) - 1);
+      }
+      OrderedList O(N);
+      for (ThreadId I = 0; I < N; ++I)
+        O.set(I, C.get(I));
+
+      size_t Len = H.activeLen();
+      // The override inside the active prefix, on its last component, at
+      // its end and past it.
+      std::vector<ThreadId> Tids = {
+          static_cast<ThreadId>(Rng.nextBelow(std::max<size_t>(Len, 1))),
+          static_cast<ThreadId>(Len ? Len - 1 : 0), static_cast<ThreadId>(Len),
+          static_cast<ThreadId>(Len + 1 + Rng.nextBelow(N))};
+      for (ThreadId Tid : Tids) {
+        ClockValue Own = Tid < N ? H.get(Tid) : 0;
+        for (ClockValue Val : {Own, Own ? Own - 1 : 0, Own + 1,
+                               static_cast<ClockValue>(Rng.nextBelow(60))}) {
+          bool Ref = Reference(H, C, Tid, Val);
+          for (simd::Tier T : Tiers) {
+            TierGuard G(T);
+            ASSERT_TRUE(G.ok());
+            EXPECT_EQ(simd::allLeqWithOverride(H.data(), C.data(), Len, Tid,
+                                               Val),
+                      Ref)
+                << simd::tierName(T) << " N=" << N << " tid=" << Tid
+                << " len=" << Len;
+            EXPECT_EQ(H.leqWithOverride(C, Tid, Val), Ref)
+                << simd::tierName(T) << " N=" << N << " tid=" << Tid;
+            EXPECT_EQ(O.dominatesWithOverride(H, Tid, Val), Ref)
+                << simd::tierName(T) << " N=" << N << " tid=" << Tid;
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(VectorClock, HighWaterMarkStaysConservative) {
   // After any operation sequence, every component at or beyond activeLen()
   // must be zero, and the clock must behave exactly like a full-width one.

@@ -8,7 +8,9 @@
 /// \file
 /// Concurrency tests for the online runtime: seeded races must be found,
 /// well-locked programs must stay race-free under every analysis mode, and
-/// metric invariants must hold under multithreaded stress.
+/// metric invariants must hold under multithreaded stress. Single-threaded
+/// cases pin shadow-cell eviction and the normalization of degenerate
+/// table sizes.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -18,8 +20,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
 using namespace sampletrack;
@@ -218,4 +222,192 @@ TEST(RuntimeSampling, SamplingSkipsReduceSyncWork) {
   Metrics Agg = Rt.aggregatedMetrics();
   EXPECT_GT(Agg.AcquiresSkipped, Agg.AcquiresTotal / 2)
       << "expected >50% of acquires skipped at 0.1% sampling";
+}
+
+//===----------------------------------------------------------------------===//
+// Shadow-cell collisions: with two cells, unrelated addresses evict each
+// other's histories. An evicted history must be forgotten completely (a
+// false negative at worst, never a fabricated race), and a reclaimed cell
+// must keep detecting what it sees afterwards.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+Config collidingConfig(Mode M) {
+  Config C = makeConfig(M);
+  C.ShadowCells = 2;
+  C.ShadowShards = 1;
+  return C;
+}
+
+/// The shadow cell \p Addr maps to in a two-cell runtime, read back from a
+/// recorded ET run (recorded access events carry the cell index).
+uint64_t cellOf(uint64_t Addr) {
+  Config C = collidingConfig(Mode::ET);
+  C.RecordTrace = true;
+  Runtime Rt(C);
+  Rt.onRead(0, Addr);
+  Trace T = Rt.recordedTrace();
+  return T[0].Target;
+}
+
+/// Two distinct addresses that share a shadow cell.
+std::pair<uint64_t, uint64_t> collidingAddresses() {
+  const uint64_t X = 0x10000;
+  const uint64_t Cell = cellOf(X);
+  for (uint64_t Y = X + 8;; Y += 8)
+    if (cellOf(Y) == Cell)
+      return {X, Y};
+}
+
+/// Registers threads 1..\p N and forks each from thread 0, so they are
+/// pairwise concurrent until they synchronize.
+void startThreads(Runtime &Rt, ThreadId N) {
+  for (ThreadId T = 1; T <= N; ++T) {
+    ASSERT_EQ(Rt.registerThread(), T);
+    Rt.onFork(0, T);
+  }
+}
+
+/// \p From's history so far happens-before \p To's next event.
+void message(Runtime &Rt, ThreadId From, ThreadId To) {
+  SyncId S = Rt.registerSync();
+  Rt.onReleaseStore(From, S);
+  Rt.onAcquireLoad(To, S);
+}
+
+class ShadowCollisions : public ::testing::TestWithParam<Mode> {};
+
+} // namespace
+
+TEST_P(ShadowCollisions, EvictedHistoryNeverRaces) {
+  Runtime Rt(collidingConfig(GetParam()));
+  auto [X, Y] = collidingAddresses();
+  startThreads(Rt, 7);
+
+  // X's history: 6's write, then reads by 4 and 5 (read-shared under FT),
+  // all concurrent with threads 1 and 7.
+  Rt.onWrite(6, X);
+  message(Rt, 6, 4);
+  message(Rt, 6, 5);
+  Rt.onRead(5, X);
+  Rt.onRead(4, X);
+  ASSERT_EQ(Rt.raceCount(), 0u);
+
+  // Y evicts X. 1's read starts Y's read history at index 1, below X's
+  // stale components 4..6; 7's concurrent read then extends the prefix
+  // past them (and promotes Y to read-shared under FT).
+  Rt.onRead(1, Y);
+  Rt.onRead(7, Y);
+  message(Rt, 7, 1);
+  // 1 has heard from 7: only a leftover of X's history could race here.
+  Rt.onWrite(1, Y);
+  EXPECT_EQ(Rt.raceCount(), 0u) << modeName(GetParam());
+}
+
+TEST_P(ShadowCollisions, GenuineRaceSurvivesEvictionCycle) {
+  Runtime Rt(collidingConfig(GetParam()));
+  auto [X, Y] = collidingAddresses();
+  startThreads(Rt, 3);
+
+  Rt.onWrite(1, X);
+  Rt.onWrite(3, Y); // Evicts X.
+  Rt.onWrite(1, X); // X reclaims the cell; its history restarts here.
+  ASSERT_EQ(Rt.raceCount(), 0u);
+  Rt.onWrite(2, X); // Concurrent with 1's second write.
+  EXPECT_EQ(Rt.raceCount(), 1u) << modeName(GetParam());
+  EXPECT_EQ(Rt.racyLocationCount(), 1u);
+}
+
+INSTANTIATE_TEST_SUITE_P(AnalysisModes, ShadowCollisions,
+                         ::testing::Values(Mode::FT, Mode::ST, Mode::SU,
+                                           Mode::SO),
+                         [](const ::testing::TestParamInfo<Mode> &Info) {
+                           return modeName(Info.param);
+                         });
+
+TEST(ShadowCollisionsFT, ReadSharedPromotionAndDemotionAfterReclaim) {
+  Runtime Rt(collidingConfig(Mode::FT));
+  auto [X, Y] = collidingAddresses();
+  startThreads(Rt, 7);
+  // Full-clock operations the accesses in \p Body perform: one per
+  // read-shared promotion, one per demoting write's compare.
+  auto ClockOps = [&Rt](auto Body) {
+    uint64_t Before = Rt.aggregatedMetrics().FullClockOps;
+    Body();
+    return Rt.aggregatedMetrics().FullClockOps - Before;
+  };
+
+  Rt.onRead(1, X);
+  Rt.onRead(2, X); // Read-shared {1, 2}.
+  Rt.onRead(3, Y); // Evicts X.
+  // X reclaims the cell; concurrent reads promote it to read-shared {4, 5}.
+  EXPECT_EQ(ClockOps([&] {
+              Rt.onRead(4, X);
+              Rt.onRead(5, X);
+            }),
+            1u);
+  ASSERT_EQ(Rt.raceCount(), 0u);
+
+  // 6 has heard from 4 but not 5: its write races with 5's read (the
+  // read vector clock's compare) and demotes the cell.
+  message(Rt, 4, 6);
+  EXPECT_EQ(ClockOps([&] { Rt.onWrite(6, X); }), 1u);
+  EXPECT_EQ(Rt.raceCount(), 1u);
+
+  // 7 and 3 read after the write, concurrently: promoted again.
+  message(Rt, 6, 7);
+  message(Rt, 6, 3);
+  EXPECT_EQ(ClockOps([&] {
+              Rt.onRead(7, X);
+              Rt.onRead(3, X);
+            }),
+            1u);
+  EXPECT_EQ(Rt.raceCount(), 1u);
+
+  // 2 hears from 7 and 3, and through them from 6 and 4 but not from 5:
+  // only 5's read, had the demotion left it behind, could race here.
+  message(Rt, 7, 2);
+  message(Rt, 3, 2);
+  EXPECT_EQ(ClockOps([&] { Rt.onWrite(2, X); }), 1u);
+  EXPECT_EQ(Rt.raceCount(), 1u);
+}
+
+//===----------------------------------------------------------------------===//
+// Degenerate sizing: the runtime normalizes values it cannot index with
+// (no shards, fewer cells than shards, zero threads) instead of relying on
+// debug-only assertions.
+//===----------------------------------------------------------------------===//
+
+TEST(RuntimeConfigTest, DegenerateSizesAreNormalized) {
+  struct Sizes {
+    size_t MaxThreads, ShadowCells, ShadowShards;
+  };
+  const Sizes Cases[] = {{0, 1 << 16, 256}, {16, 0, 0}, {16, 64, 0},
+                         {16, 0, 8},        {16, 3, 8}, {0, 0, 0}};
+  for (Mode M : {Mode::NT, Mode::ET, Mode::FT, Mode::ST, Mode::SU,
+                 Mode::SO}) {
+    for (const Sizes &S : Cases) {
+      Config C = makeConfig(M);
+      C.MaxThreads = S.MaxThreads;
+      C.ShadowCells = S.ShadowCells;
+      C.ShadowShards = S.ShadowShards;
+      Runtime Rt(C);
+      const Config &Used = Rt.config();
+      EXPECT_EQ(Used.MaxThreads, std::max<size_t>(S.MaxThreads, 1));
+      EXPECT_EQ(Used.ShadowShards, std::max<size_t>(S.ShadowShards, 1));
+      EXPECT_EQ(Used.ShadowCells,
+                std::max(S.ShadowCells, Used.ShadowShards));
+
+      SyncId L = Rt.registerSync();
+      Rt.onAcquire(0, L);
+      Rt.onRead(0, 0x1000);
+      Rt.onWrite(0, 0x2000);
+      Rt.onWrite(0, 0x1000);
+      Rt.onRelease(0, L);
+      Rt.onReleaseStore(0, L);
+      Rt.onAcquireLoad(0, L);
+      EXPECT_EQ(Rt.raceCount(), 0u) << modeName(M);
+    }
+  }
 }

@@ -16,6 +16,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "RuntimeReplay.h"
+
 #include "sampletrack/SampleTrack.h"
 
 #include <gtest/gtest.h>
@@ -23,10 +25,6 @@
 using namespace sampletrack;
 
 namespace {
-
-/// Trace variables become word-aligned, nonzero addresses (the runtime
-/// treats address 0 as "no owner").
-constexpr uint64_t AddressBase = 0x100000;
 
 /// The paper's regime: 64 threads on 96 Zipf(0.9)-contended locks, 30%
 /// accesses. Lock operations only (no fork/join, no atomics). A fifth of
@@ -74,41 +72,7 @@ Counted runOffline(const Trace &T, double Rate) {
 
 Counted runOnline(const Trace &T, double Rate) {
   rt::Runtime Rt(soConfig(T.numThreads(), Rate).runtimeConfig(rt::Mode::SO));
-  for (size_t I = 1; I < T.numThreads(); ++I)
-    Rt.registerThread();
-  for (size_t I = 0; I < T.numSyncs(); ++I)
-    Rt.registerSync();
-  for (const Event &E : T) {
-    switch (E.Kind) {
-    case OpKind::Read:
-      Rt.onRead(E.Tid, AddressBase + E.Target * 8);
-      break;
-    case OpKind::Write:
-      Rt.onWrite(E.Tid, AddressBase + E.Target * 8);
-      break;
-    case OpKind::Acquire:
-      Rt.onAcquire(E.Tid, E.sync());
-      break;
-    case OpKind::Release:
-      Rt.onRelease(E.Tid, E.sync());
-      break;
-    case OpKind::Fork:
-      Rt.onFork(E.Tid, E.childThread());
-      break;
-    case OpKind::Join:
-      Rt.onJoin(E.Tid, E.childThread());
-      break;
-    case OpKind::ReleaseStore:
-      Rt.onReleaseStore(E.Tid, E.sync());
-      break;
-    case OpKind::ReleaseJoin:
-      Rt.onReleaseJoin(E.Tid, E.sync());
-      break;
-    case OpKind::AcquireLoad:
-      Rt.onAcquireLoad(E.Tid, E.sync());
-      break;
-    }
-  }
+  test::replayThroughHooks(Rt, T);
   return {Rt.aggregatedMetrics(), Rt.raceCount()};
 }
 
