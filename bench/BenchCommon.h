@@ -38,10 +38,6 @@ struct Options {
   /// values — only wall-clock changes — so every figure is safe to run at
   /// any worker count.
   size_t Workers = 0;
-  /// Intra-engine shard count for the offline session runs (the --shards
-  /// axis; 0 = unsharded). Same determinism contract as Workers: results
-  /// are bit-identical across values, only wall-clock changes.
-  size_t Shards = 0;
   std::string CsvPath;
   /// Machine-readable results (--json PATH): the perf-trajectory format CI
   /// snapshots as BENCH_<fig>.json at the repo root.
@@ -70,8 +66,6 @@ struct Options {
         O.Seed = std::strtoull(Next(), nullptr, 10);
       else if (Arg == "--workers")
         O.Workers = std::strtoull(Next(), nullptr, 10);
-      else if (Arg == "--shards")
-        O.Shards = std::strtoull(Next(), nullptr, 10);
       else if (Arg == "--csv")
         O.CsvPath = Next();
       else if (Arg == "--json")
@@ -81,8 +75,7 @@ struct Options {
       else {
         std::fprintf(stderr,
                      "usage: %s [--scale S] [--seed N] [--workers W] "
-                     "[--shards S] [--csv PATH] [--json PATH] "
-                     "[--trace OUT.json]\n",
+                     "[--csv PATH] [--json PATH] [--trace OUT.json]\n",
                      Argv[0]);
         exit(2);
       }
@@ -226,14 +219,13 @@ inline void writeTraceIfRequested(const Options &O, const std::string &Trace) {
 inline sampletrack::api::SessionResult
 runMarkedAllProfiled(const sampletrack::Trace &T,
                      std::span<const sampletrack::EngineKind> Kinds,
-                     size_t NumWorkers, size_t Shards,
+                     size_t NumWorkers,
                      std::unique_ptr<sampletrack::prof::Profiler> *ProfOut =
                          nullptr) {
   sampletrack::api::SessionConfig Cfg;
   Cfg.Engines.assign(Kinds.begin(), Kinds.end());
   Cfg.Sampling = sampletrack::api::SamplerKind::Marked;
   Cfg.NumWorkers = NumWorkers;
-  Cfg.Shards = Shards;
   Cfg.ProfilingEnabled = true;
   sampletrack::api::AnalysisSession S(Cfg);
   sampletrack::api::SessionResult R = S.run(T);

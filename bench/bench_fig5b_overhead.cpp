@@ -179,69 +179,6 @@ int main(int argc, char **argv) {
               "count.\n",
               std::thread::hardware_concurrency());
 
-  // -- Intra-engine sharding: the --shards axis --------------------------
-  // The lane axis above plateaus for a *single* engine: one lane is one
-  // serial detector no matter how many workers idle. Sharding the variable
-  // space (SessionConfig::Shards, VarId % S routing) splits that one lane
-  // into S schedulable shard detectors, so one engine on one trace finally
-  // uses the cores. FT and SO at 100% sampling — access work dominating —
-  // are the series the paper-scale "fleet trace in minutes" claim rests
-  // on; results stay bit-identical at every shard count (re-checked here).
-  std::printf("\n== single-engine sharded session over the same recorded "
-              "workload (100%% sampling) ==\n\n");
-
-  std::vector<size_t> ShardAxis = {0, 2, 4};
-  if (O.Shards &&
-      std::find(ShardAxis.begin(), ShardAxis.end(), O.Shards) ==
-          ShardAxis.end())
-    ShardAxis.push_back(O.Shards);
-
-  Table Shard({"engine", "shards", "workers", "wall ms", "speedup",
-               "ns/event", "identical"});
-  for (EngineKind K : {EngineKind::FastTrack, EngineKind::SamplingO}) {
-    double ShardBaseMs = 0;
-    api::SessionResult ShardRef;
-    for (size_t S : ShardAxis) {
-      api::SessionConfig Cfg;
-      Cfg.Engines = {K};
-      Cfg.SamplingRate = 1.0; // Degrades to always-sample.
-      Cfg.Seed = O.Seed;
-      Cfg.Shards = S;
-      Cfg.NumWorkers = S; // One worker per shard (clamped by the session).
-      uint64_t Best = ~uint64_t(0);
-      api::SessionResult R;
-      for (int Rep = 0; Rep < 3; ++Rep) {
-        R = api::AnalysisSession(Cfg).run(Rec);
-        Best = std::min(Best, R.WallNanos);
-      }
-      double Ms = static_cast<double>(Best) / 1e6;
-      const api::EngineRun &E = R.Engines.front();
-      std::string Engine(E.Engine);
-      uint64_t Events = R.EventsProcessed;
-      Json.addRow("shards=" + std::to_string(S) + ",single-engine",
-                  E.Engine, 1.0, Events, Best, E.Stats);
-      bool Same = true;
-      if (S == 0) {
-        ShardBaseMs = Ms;
-        ShardRef = api::stripTiming(std::move(R));
-      } else {
-        Same = api::stripTiming(std::move(R)) == ShardRef;
-        AllIdentical = AllIdentical && Same;
-      }
-      Shard.addRow({Engine, std::to_string(S), std::to_string(S),
-                    Table::fmt(Ms, 2),
-                    Table::fmt(safeRatio(ShardBaseMs, Ms), 2),
-                    Table::fmt(safeRatio(static_cast<double>(Best),
-                                         static_cast<double>(Events)),
-                               2),
-                    S == 0 ? "baseline" : (Same ? "yes" : "NO")});
-    }
-  }
-  Shard.print();
-  std::printf("\nexpected: the single-engine ns/event plateau breaks past "
-              "--shards 4 on >= 4 usable cores (this host has %u); "
-              "bit-identical results at every shard count.\n",
-              std::thread::hardware_concurrency());
   // -- Self-profile attachment + chrome trace -----------------------------
   // One profiled re-run of the 4-lane session: its merged span tree rides
   // along in the bench JSON ("profile", not gated) and, with --trace, the
@@ -253,7 +190,6 @@ int main(int argc, char **argv) {
     Cfg.SamplingRate = 0.03;
     Cfg.Seed = O.Seed;
     Cfg.NumWorkers = O.Workers;
-    Cfg.Shards = O.Shards;
     Cfg.ProfilingEnabled = true;
     api::AnalysisSession Sess(Cfg);
     api::SessionResult PR = Sess.run(Rec);
@@ -266,7 +202,7 @@ int main(int argc, char **argv) {
 
   // -- Disabled-profiler overhead contract --------------------------------
   // With profiling off, the session's only profiler cost is a null Tree*
-  // check per unit per batch (plus two for the ingest/finish probes).
+  // check per lane per batch (plus two for the ingest/finish probes).
   // Measure that branch directly and bound the implied per-event cost at
   // <= 1% of this run's own 100%-sampling ns/event. Skipped under TSan —
   // instrumented clock reads are orders of magnitude off.

@@ -110,8 +110,7 @@ int main(int argc, char **argv) {
     rapid::markTrace(T, 0.03, O.Seed * 13 + 7);
     const EngineKind Kinds[] = {EngineKind::SamplingU, EngineKind::SamplingO};
     std::unique_ptr<prof::Profiler> P;
-    api::SessionResult PR =
-        runMarkedAllProfiled(T, Kinds, O.Workers, O.Shards, &P);
+    api::SessionResult PR = runMarkedAllProfiled(T, Kinds, O.Workers, &P);
     Json.attachProfile(PR.Profile);
     if (P)
       writeTraceIfRequested(O, prof::toChromeTrace(*P, "fig8-session"));

@@ -34,19 +34,18 @@ uint64_t nowNanos() {
 // ParallelExecutor
 //===----------------------------------------------------------------------===//
 
-/// Fans batches out to worker threads over a bounded broadcast ring.
+/// Fans batches out to lane worker threads over a bounded broadcast ring.
 ///
 /// The ingest thread fills a slot (events + the pre-drawn sampling
 /// decisions — copies, because the caller's span may die on return) and
 /// publishes it; every worker consumes every slot in publication order and
-/// feeds it to the units it owns (unit I belongs to worker I % NumWorkers;
-/// a unit is one detector drive — an unsharded lane, or one shard of a
-/// sharded lane). A slot is recycled once the slowest worker has moved
-/// past it, which bounds memory to RingSize batches and applies
-/// back-pressure to the ingest thread. Each unit is driven by exactly one
-/// thread for the whole run, in trace order, with the exact decision
-/// stream sequential mode would use — so results are bit-identical by
-/// construction, not by replayed luck.
+/// feeds it to the lanes it owns (lane I belongs to worker I % NumWorkers).
+/// A slot is recycled once the slowest worker has moved past it, which
+/// bounds memory to RingSize batches and applies back-pressure to the
+/// ingest thread. Each lane is driven by exactly one thread for the whole
+/// run, in trace order, with the exact decision stream sequential mode
+/// would use — so results are bit-identical by construction, not by
+/// replayed luck.
 class AnalysisSession::ParallelExecutor {
 public:
   struct Slot {
@@ -58,11 +57,11 @@ public:
     std::vector<uint8_t> Decisions;
   };
 
-  ParallelExecutor(std::vector<Unit> &Units, size_t NumWorkers,
+  ParallelExecutor(std::vector<Lane> &Lanes, size_t NumWorkers,
                    prof::Profiler *Prof)
-      : Units(Units), NumWorkers(NumWorkers), Prof(Prof),
+      : Lanes(Lanes), NumWorkers(NumWorkers), Prof(Prof),
         Consumed(NumWorkers, 0) {
-    assert(NumWorkers > 0 && NumWorkers <= Units.size());
+    assert(NumWorkers > 0 && NumWorkers <= Lanes.size());
     Workers.reserve(NumWorkers);
     for (size_t W = 0; W < NumWorkers; ++W)
       Workers.emplace_back([this, W] { workerMain(W); });
@@ -110,15 +109,15 @@ private:
   }
 
   void workerMain(size_t W) {
-    // Each worker records into its own tree; units intern their span under
+    // Each worker records into its own tree; lanes intern their span under
     // the same session/analyze path the sequential mode uses, so the merged
-    // report is identical in shape whichever thread drove the unit.
+    // report is identical in shape whichever thread drove the lane.
     if (Prof) {
       prof::Tree *T = Prof->makeTree("worker-" + std::to_string(W));
-      for (size_t I = W; I < Units.size(); I += NumWorkers) {
-        Unit &U = Units[I];
-        U.PT = T;
-        U.PNode = T->internPath({"session", "analyze", U.ProfLabel});
+      for (size_t I = W; I < Lanes.size(); I += NumWorkers) {
+        Lane &L = Lanes[I];
+        L.PT = T;
+        L.PNode = T->internPath({"session", "analyze", L.D->name()});
       }
     }
     uint64_t Mine = 0;
@@ -134,16 +133,16 @@ private:
       Slot &S = Ring[Mine % RingSize];
       std::span<const Event> Events = S.Events;
       std::span<const uint8_t> Ds(S.Decisions);
-      for (size_t I = W; I < Units.size(); I += NumWorkers) {
-        Unit &U = Units[I];
+      for (size_t I = W; I < Lanes.size(); I += NumWorkers) {
+        Lane &L = Lanes[I];
         uint64_t T0 = nowNanos();
-        U.feed(Events, Ds);
+        L.feed(Events, Ds);
         uint64_t Dt = nowNanos() - T0;
-        U.Nanos += Dt;
-        // One measurement, two consumers: the EngineRun::WallNanos fold
-        // above and the profile span. Non-primary shards add nanos only.
-        if (U.PT)
-          U.PT->addSample(U.PNode, Dt, U.CountsProfile ? 1 : 0);
+        L.Nanos += Dt;
+        // One measurement, two consumers: EngineRun::WallNanos and the
+        // profile span.
+        if (L.PT)
+          L.PT->addSample(L.PNode, Dt);
       }
       {
         std::lock_guard<std::mutex> L(M);
@@ -155,7 +154,7 @@ private:
 
   static constexpr size_t RingSize = 8;
 
-  std::vector<Unit> &Units;
+  std::vector<Lane> &Lanes;
   size_t NumWorkers;
   prof::Profiler *Prof;
   std::array<Slot, RingSize> Ring;
@@ -177,11 +176,8 @@ SessionResult sampletrack::api::stripTiming(SessionResult R) {
   R.WallNanos = 0;
   R.IngestNanos = 0;
   R.NumWorkers = 0;
-  R.Shards = 0;
-  for (EngineRun &E : R.Engines) {
+  for (EngineRun &E : R.Engines)
     E.WallNanos = 0;
-    E.Shards = 0;
-  }
   R.Profile = prof::stripTiming(std::move(R.Profile));
   return R;
 }
@@ -248,9 +244,8 @@ bool AnalysisSession::begin(size_t NumThreads, std::string *Error) {
     return Fail("thread universe size is zero");
 
   Lanes.clear();
-  Units.clear();
   // Fresh profiler per run: the previous run's timeline (if any) is owned
-  // by whoever took it; pointers into the old trees die with the old units.
+  // by whoever took it; pointers into the old trees die with the old lanes.
   Prof.reset();
   IngestTree = nullptr;
   if (Cfg.ProfilingEnabled) {
@@ -262,53 +257,22 @@ bool AnalysisSession::begin(size_t NumThreads, std::string *Error) {
     FinishNode = IngestTree->internPath({"session", "finish"});
   }
 
-  // Shards < 2 means one detector per lane (1 shard is just sequential
-  // with extra bookkeeping, so it is normalized away).
-  size_t Shards = Cfg.Shards >= 2 ? Cfg.Shards : 0;
   for (EngineKind K : Cfg.Engines) {
     Lane L;
-    L.Shards = Shards;
-    L.FirstUnit = Units.size();
-    L.NumUnits = Shards ? Shards : 1;
-    for (size_t I = 0; I < L.NumUnits; ++I) {
-      std::unique_ptr<Detector> D = createDetector(K, RunThreads);
-      if (Shards)
-        // Every shard keeps the full lane sink capacity: the merge re-caps
-        // (triage::mergeShardSummaries), which is what makes truncation
-        // land on exactly the signatures sequential would have dropped.
-        D->setShard(static_cast<uint32_t>(I),
-                    static_cast<uint32_t>(Shards));
-      if (!Cfg.PoolingEnabled)
-        D->setPoolingEnabled(false);
-      if (Cfg.TriageCapacity)
-        D->setRaceCapacity(Cfg.TriageCapacity);
-      Unit U;
-      U.D = D.get();
-      U.PerEvent = Cfg.PerEventDispatch;
-      // Only the lane's primary drive counts profile calls (shard-count
-      // invariance); every drive contributes nanos.
-      U.CountsProfile = I == 0;
-      if (IngestTree)
-        U.ProfLabel = D->name();
-      Units.push_back(std::move(U));
-      L.Owned.push_back(std::move(D));
-    }
+    L.Owned = createDetector(K, RunThreads);
+    if (!Cfg.PoolingEnabled)
+      L.Owned->setPoolingEnabled(false);
+    if (Cfg.TriageCapacity)
+      L.Owned->setRaceCapacity(Cfg.TriageCapacity);
+    L.D = L.Owned.get();
+    L.PerEvent = Cfg.PerEventDispatch;
     Lanes.push_back(std::move(L));
   }
   for (Detector *D : BorrowedDetectors) {
-    // Borrowed detectors keep their owner's pooling configuration — and
-    // never shard (the caller reads races() off the full variable space).
+    // Borrowed detectors keep their owner's pooling configuration.
     Lane L;
-    L.Borrowed = D;
-    L.FirstUnit = Units.size();
-    L.NumUnits = 1;
-    Unit U;
-    U.D = D;
-    U.PerEvent = Cfg.PerEventDispatch;
-    U.CountsProfile = true;
-    if (IngestTree)
-      U.ProfLabel = D->name();
-    Units.push_back(std::move(U));
+    L.D = D;
+    L.PerEvent = Cfg.PerEventDispatch;
     Lanes.push_back(std::move(L));
   }
 
@@ -323,17 +287,17 @@ bool AnalysisSession::begin(size_t NumThreads, std::string *Error) {
   SampleSize = 0;
   EventsProcessed = 0;
   IngestNanos = 0;
-  RunWorkers = std::min(Cfg.NumWorkers, Units.size());
+  RunWorkers = std::min(Cfg.NumWorkers, Lanes.size());
   if (IngestTree && !RunWorkers)
-    // Sequential mode drives every unit on the ingest thread; the workers
+    // Sequential mode drives every lane on the ingest thread; the workers
     // intern the identical session/analyze/<engine> path into their own
     // trees, so the merged report's shape is mode-independent.
-    for (Unit &U : Units) {
-      U.PT = IngestTree;
-      U.PNode = IngestTree->internPath({"session", "analyze", U.ProfLabel});
+    for (Lane &L : Lanes) {
+      L.PT = IngestTree;
+      L.PNode = IngestTree->internPath({"session", "analyze", L.D->name()});
     }
   if (RunWorkers)
-    Par = std::make_unique<ParallelExecutor>(Units, RunWorkers, Prof.get());
+    Par = std::make_unique<ParallelExecutor>(Lanes, RunWorkers, Prof.get());
   StartNanos = nowNanos();
   Active = true;
   return true;
@@ -380,13 +344,13 @@ void AnalysisSession::process(std::span<const Event> Batch) {
     IngestTree->addSpan(IngestNode, T0, T1);
   if (!Slot) {
     std::span<const uint8_t> DsView(Decisions.data(), Batch.size());
-    for (Unit &U : Units) {
-      uint64_t T0Unit = nowNanos();
-      U.feed(Batch, DsView);
-      uint64_t Dt = nowNanos() - T0Unit;
-      U.Nanos += Dt;
-      if (U.PT)
-        U.PT->addSample(U.PNode, Dt, U.CountsProfile ? 1 : 0);
+    for (Lane &L : Lanes) {
+      uint64_t T0Lane = nowNanos();
+      L.feed(Batch, DsView);
+      uint64_t Dt = nowNanos() - T0Lane;
+      L.Nanos += Dt;
+      if (L.PT)
+        L.PT->addSample(L.PNode, Dt);
     }
   }
   EventsProcessed += Batch.size();
@@ -402,7 +366,6 @@ SessionResult AnalysisSession::finish() {
   R.EventsProcessed = EventsProcessed;
   R.NumThreads = RunThreads;
   R.NumWorkers = RunWorkers;
-  R.Shards = Cfg.Shards >= 2 ? Cfg.Shards : 0;
   R.IngestNanos = IngestNanos;
   R.WallNanos = nowNanos() - StartNanos;
   uint64_t FinishT0 = IngestTree ? nowNanos() : 0;
@@ -411,51 +374,24 @@ SessionResult AnalysisSession::finish() {
   LaneSummaries.reserve(Lanes.size());
   for (Lane &L : Lanes) {
     EngineRun E;
-    Detector *Primary = L.primary();
-    E.Engine = Primary->name();
+    E.Engine = L.D->name();
     E.SamplerName = S->name();
+    E.Stats = L.D->metrics();
+    E.NumRaces = E.Stats.RacesDeclared;
+    E.NumRacyLocations = L.D->racyLocations().size();
+    E.DistinctRaces = L.D->distinctRaces();
     E.SampleSize = SampleSize;
-    E.Shards = L.Shards;
-    for (size_t I = 0; I < L.NumUnits; ++I)
-      E.WallNanos += Units[L.FirstUnit + I].Nanos;
-    if (!L.Shards) {
-      E.Stats = Primary->metrics();
-      E.NumRaces = E.Stats.RacesDeclared;
-      E.NumRacyLocations = Primary->racyLocations().size();
-      E.DistinctRaces = Primary->distinctRaces();
-      // The warehouse summary and the truncation flag must both be read
-      // before the move below empties the sink's exemplar list.
-      LaneSummaries.push_back(Primary->raceSink().summary());
-      E.RacesTruncated = Primary->racesTruncated();
-      // Session-owned detectors die right after this loop, so steal their
-      // (potentially million-entry) race lists. Borrowed detectors keep
-      // theirs — the caller owns the detector and reads races() directly
-      // (as rapid::run's callers do), so no copy is made here.
-      if (!L.Owned.empty())
-        E.Races = L.Owned.front()->takeRaces();
-    } else {
-      // Sharded lane: fold the shards back into exactly the unsharded
-      // numbers. Metrics sum field-wise (the dispatch contract makes the
-      // sum exact — see Detector::batchDispatchSharded), racy-location
-      // sets are disjoint by construction, and the sinks merge through
-      // the position-ordered re-capping of mergeShardSummaries.
-      std::vector<triage::TriageSummary> ShardSummaries;
-      ShardSummaries.reserve(L.NumUnits);
-      for (std::unique_ptr<Detector> &D : L.Owned) {
-        E.Stats += D->metrics();
-        E.NumRacyLocations += D->racyLocations().size();
-        ShardSummaries.push_back(D->raceSink().summary());
-      }
-      triage::TriageSummary Merged = triage::mergeShardSummaries(
-          ShardSummaries, Primary->raceSink().capacity());
-      E.NumRaces = E.Stats.RacesDeclared;
-      E.DistinctRaces = Merged.distinct();
-      E.RacesTruncated = Merged.Capped;
-      E.Races.reserve(Merged.Entries.size());
-      for (const triage::TriageEntry &Te : Merged.Entries)
-        E.Races.push_back(Te.Exemplar);
-      LaneSummaries.push_back(std::move(Merged));
-    }
+    E.WallNanos = L.Nanos;
+    // The warehouse summary and the truncation flag must both be read
+    // before the move below empties the sink's exemplar list.
+    LaneSummaries.push_back(L.D->raceSink().summary());
+    E.RacesTruncated = L.D->racesTruncated();
+    // Session-owned detectors die right after this loop, so steal their
+    // (potentially million-entry) race lists. Borrowed detectors keep
+    // theirs — the caller owns the detector and reads races() directly
+    // (as rapid::run's callers do), so no copy is made here.
+    if (L.Owned)
+      E.Races = L.Owned->takeRaces();
     R.Engines.push_back(std::move(E));
   }
   R.Triage = triage::mergeSummaries(LaneSummaries);
@@ -476,7 +412,6 @@ SessionResult AnalysisSession::finish() {
   // builds fresh ones. Borrowed detectors and samplers stay with their
   // owners and are dropped from the session's lists.
   Lanes.clear();
-  Units.clear();
   BorrowedDetectors.clear();
   BorrowedSampler = nullptr;
   OwnedSampler.reset();
@@ -554,8 +489,8 @@ bool AnalysisSession::runFile(const std::string &Path, SessionResult &Out,
 
 ThreadId SessionHooks::registerThread() {
   std::lock_guard<std::mutex> G(M);
-  assert(NextThread < Session.numThreads() &&
-         "thread universe exhausted; begin() the session with more threads");
+  if (NextThread >= Session.numThreads())
+    return NoThread;
   return NextThread++;
 }
 
@@ -566,6 +501,12 @@ SyncId SessionHooks::registerSync() {
 
 void SessionHooks::emit(const Event &E) {
   std::lock_guard<std::mutex> G(M);
+  // Every detector sizes its per-thread tables to the session's universe,
+  // so an event naming a thread outside it is dropped, not analyzed.
+  size_t N = Session.numThreads();
+  bool ForkJoin = E.Kind == OpKind::Fork || E.Kind == OpKind::Join;
+  if (E.Tid >= N || (ForkJoin && E.childThread() >= N))
+    return;
   Session.process(E);
 }
 

@@ -79,7 +79,6 @@ std::string sampletrack::api::toJson(const SessionResult &R,
      << "  \"eventsProcessed\": " << R.EventsProcessed << ",\n"
      << "  \"numThreads\": " << R.NumThreads << ",\n"
      << "  \"numWorkers\": " << R.NumWorkers << ",\n"
-     << "  \"shards\": " << R.Shards << ",\n"
      << "  \"wallNanos\": " << R.WallNanos << ",\n"
      << "  \"ingestNanos\": " << R.IngestNanos << ",\n"
      << "  \"engines\": [\n";
@@ -92,7 +91,6 @@ std::string sampletrack::api::toJson(const SessionResult &R,
        << "      \"distinctRaces\": " << E.DistinctRaces << ",\n"
        << "      \"racyLocations\": " << E.NumRacyLocations << ",\n"
        << "      \"sampleSize\": " << E.SampleSize << ",\n"
-       << "      \"shards\": " << E.Shards << ",\n"
        << "      \"wallNanos\": " << E.WallNanos << ",\n"
        << "      \"racesTruncated\": " << (E.RacesTruncated ? "true" : "false")
        << ",\n";
@@ -132,7 +130,7 @@ std::string sampletrack::api::toJson(const SessionResult &R,
 std::string sampletrack::api::toCsv(const SessionResult &R) {
   std::ostringstream OS;
   OS << "engine,sampler,races,distinct_races,racy_locations,"
-        "races_truncated,sample_size,shards,"
+        "races_truncated,sample_size,"
         "events,accesses,acquires_total,acquires_skipped,releases_total,"
         "releases_skipped,deep_copies,pool_hits,cow_breaks,"
         "entries_traversed,full_clock_ops,wall_nanos\n";
@@ -141,7 +139,7 @@ std::string sampletrack::api::toCsv(const SessionResult &R) {
     OS << E.Engine << ',' << E.SamplerName << ',' << E.NumRaces << ','
        << E.DistinctRaces << ',' << E.NumRacyLocations << ','
        << (E.RacesTruncated ? 1 : 0) << ','
-       << E.SampleSize << ',' << E.Shards << ',' << M.Events << ','
+       << E.SampleSize << ',' << M.Events << ','
        << M.Accesses << ','
        << M.AcquiresTotal << ',' << M.AcquiresSkipped << ','
        << M.ReleasesTotal << ',' << M.ReleasesSkipped << ',' << M.DeepCopies

@@ -13,8 +13,6 @@
 using namespace sampletrack;
 
 void Detector::processEvent(const Event &E, bool Sampled) {
-  assert(ShardCnt <= 1 && "sharded instances are driven via processBatch / "
-                          "processBatchGeneric, not processEvent");
 #ifndef NDEBUG
   DriverScope Guard(*this); // Lane-affinity: no concurrent re-entry.
 #endif
@@ -57,69 +55,6 @@ void Detector::processEvent(const Event &E, bool Sampled) {
   ++Position;
 }
 
-void Detector::processEventSharded(const Event &E, bool Sampled) {
-#ifndef NDEBUG
-  DriverScope Guard(*this); // Lane-affinity: no concurrent re-entry.
-#endif
-  switch (E.Kind) {
-  case OpKind::Read:
-  case OpKind::Write:
-    if (static_cast<uint32_t>(E.var() % ShardCnt) == ShardIdx) {
-      ++Stats.Events;
-      ++Stats.Accesses;
-      if (Sampled)
-        ++Stats.SampledAccesses;
-      if (E.Kind == OpKind::Read)
-        onRead(E.Tid, E.var(), Sampled);
-      else
-        onWrite(E.Tid, E.var(), Sampled);
-    } else if (Sampled) {
-      onForeignSampledAccess(E.Tid);
-    }
-    break;
-  default: {
-    // Sync events replicate into every shard for their clock-state effect;
-    // only shard 0 accounts for them (batchDispatchSharded explains why the
-    // shard-summed metrics then match sequential field-for-field).
-    const bool CountsSync = ShardIdx == 0;
-    Metrics Saved;
-    if (!CountsSync)
-      Saved = Stats;
-    else
-      ++Stats.Events;
-    switch (E.Kind) {
-    case OpKind::Acquire:
-      onAcquire(E.Tid, E.sync());
-      break;
-    case OpKind::Release:
-      onRelease(E.Tid, E.sync());
-      break;
-    case OpKind::Fork:
-      onFork(E.Tid, E.childThread());
-      break;
-    case OpKind::Join:
-      onJoin(E.Tid, E.childThread());
-      break;
-    case OpKind::ReleaseStore:
-      onReleaseStore(E.Tid, E.sync());
-      break;
-    case OpKind::ReleaseJoin:
-      onReleaseJoin(E.Tid, E.sync());
-      break;
-    case OpKind::AcquireLoad:
-      onAcquireLoad(E.Tid, E.sync());
-      break;
-    default:
-      break; // Read/Write handled above.
-    }
-    if (!CountsSync)
-      Stats = Saved;
-    break;
-  }
-  }
-  ++Position;
-}
-
 void Detector::processBatch(std::span<const Event> Events,
                             std::span<const uint8_t> Sampled) {
   processBatchGeneric(Events, Sampled);
@@ -128,11 +63,6 @@ void Detector::processBatch(std::span<const Event> Events,
 void Detector::processBatchGeneric(std::span<const Event> Events,
                                    std::span<const uint8_t> Sampled) {
   assert(Events.size() == Sampled.size() && "one decision per event");
-  if (ShardCnt >= 2) {
-    for (size_t I = 0, N = Events.size(); I < N; ++I)
-      processEventSharded(Events[I], Sampled[I] != 0);
-    return;
-  }
   for (size_t I = 0, N = Events.size(); I < N; ++I)
     processEvent(Events[I], Sampled[I] != 0);
 }

@@ -21,10 +21,7 @@ DjitDetector::DjitDetector(size_t NumThreads) : Detector(NumThreads) {
 void DjitDetector::processBatch(std::span<const Event> Events,
                                 std::span<const uint8_t> Sampled) {
   // Full analysis processes unsampled accesses too (it ignores S).
-  if (shardCount())
-    batchDispatchSharded</*SkipUnsampled=*/false>(*this, Events, Sampled);
-  else
-    batchDispatch</*SkipUnsampled=*/false>(*this, Events, Sampled);
+  batchDispatch</*SkipUnsampled=*/false>(*this, Events, Sampled);
 }
 
 VectorClock &DjitDetector::syncClock(SyncId S) {
@@ -34,10 +31,8 @@ VectorClock &DjitDetector::syncClock(SyncId S) {
 }
 
 DjitDetector::VarState &DjitDetector::varState(VarId X) {
-  // Dense per-shard slot (see Detector::varSlot): identity when unsharded.
-  size_t Slot = varSlot(X);
-  growToIndex(Vars, Slot);
-  VarState &V = Vars[Slot];
+  growToIndex(Vars, X);
+  VarState &V = Vars[X];
   if (V.W.size() == 0) {
     V.W = VectorClock(numThreads());
     V.R = VectorClock(numThreads());

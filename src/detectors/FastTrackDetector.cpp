@@ -21,10 +21,7 @@ FastTrackDetector::FastTrackDetector(size_t NumThreads)
 void FastTrackDetector::processBatch(std::span<const Event> Events,
                                      std::span<const uint8_t> Sampled) {
   // Full analysis processes unsampled accesses too (it ignores S).
-  if (shardCount())
-    batchDispatchSharded</*SkipUnsampled=*/false>(*this, Events, Sampled);
-  else
-    batchDispatch</*SkipUnsampled=*/false>(*this, Events, Sampled);
+  batchDispatch</*SkipUnsampled=*/false>(*this, Events, Sampled);
 }
 
 VectorClock &FastTrackDetector::syncClock(SyncId S) {
@@ -34,10 +31,8 @@ VectorClock &FastTrackDetector::syncClock(SyncId S) {
 }
 
 FastTrackDetector::VarState &FastTrackDetector::varState(VarId X) {
-  // Dense per-shard slot (see Detector::varSlot): identity when unsharded.
-  size_t Slot = varSlot(X);
-  growToIndex(Vars, Slot);
-  return Vars[Slot];
+  growToIndex(Vars, X);
+  return Vars[X];
 }
 
 void FastTrackDetector::onRead(ThreadId T, VarId X, bool) {

@@ -19,10 +19,7 @@ SamplingNaiveDetector::SamplingNaiveDetector(size_t NumThreads,
 
 void SamplingNaiveDetector::processBatch(std::span<const Event> Events,
                                          std::span<const uint8_t> Sampled) {
-  if (shardCount())
-    batchDispatchSharded</*SkipUnsampled=*/true>(*this, Events, Sampled);
-  else
-    batchDispatch</*SkipUnsampled=*/true>(*this, Events, Sampled);
+  batchDispatch</*SkipUnsampled=*/true>(*this, Events, Sampled);
 }
 
 VectorClock &SamplingNaiveDetector::syncClock(SyncId S) {

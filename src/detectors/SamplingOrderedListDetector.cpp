@@ -25,10 +25,7 @@ SamplingOrderedListDetector::SamplingOrderedListDetector(
 
 void SamplingOrderedListDetector::processBatch(
     std::span<const Event> Events, std::span<const uint8_t> Sampled) {
-  if (shardCount())
-    batchDispatchSharded</*SkipUnsampled=*/true>(*this, Events, Sampled);
-  else
-    batchDispatch</*SkipUnsampled=*/true>(*this, Events, Sampled);
+  batchDispatch</*SkipUnsampled=*/true>(*this, Events, Sampled);
 }
 
 SamplingOrderedListDetector::SyncState &

@@ -21,10 +21,7 @@ SamplingUClockDetector::SamplingUClockDetector(size_t NumThreads,
 
 void SamplingUClockDetector::processBatch(std::span<const Event> Events,
                                           std::span<const uint8_t> Sampled) {
-  if (shardCount())
-    batchDispatchSharded</*SkipUnsampled=*/true>(*this, Events, Sampled);
-  else
-    batchDispatch</*SkipUnsampled=*/true>(*this, Events, Sampled);
+  batchDispatch</*SkipUnsampled=*/true>(*this, Events, Sampled);
 }
 
 SamplingUClockDetector::SyncState &

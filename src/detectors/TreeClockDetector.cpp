@@ -22,10 +22,7 @@ TreeClockDetector::TreeClockDetector(size_t NumThreads)
 
 void TreeClockDetector::processBatch(std::span<const Event> Events,
                                      std::span<const uint8_t> Sampled) {
-  if (shardCount())
-    batchDispatchSharded</*SkipUnsampled=*/true>(*this, Events, Sampled);
-  else
-    batchDispatch</*SkipUnsampled=*/true>(*this, Events, Sampled);
+  batchDispatch</*SkipUnsampled=*/true>(*this, Events, Sampled);
 }
 
 TreeClockDetector::SyncState &TreeClockDetector::syncState(SyncId S) {
@@ -34,10 +31,8 @@ TreeClockDetector::SyncState &TreeClockDetector::syncState(SyncId S) {
 }
 
 TreeClockDetector::VarState &TreeClockDetector::varState(VarId X) {
-  // Dense per-shard slot (see Detector::varSlot): identity when unsharded.
-  size_t Slot = varSlot(X);
-  growToIndex(Vars, Slot);
-  VarState &V = Vars[Slot];
+  growToIndex(Vars, X);
+  VarState &V = Vars[X];
   if (V.W.size() == 0) {
     V.W = VectorClock(numThreads());
     V.R = VectorClock(numThreads());

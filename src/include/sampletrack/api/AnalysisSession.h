@@ -60,14 +60,8 @@ struct EngineRun {
   uint64_t DistinctRaces = 0;
   /// Number of access events placed in S (identical across lanes).
   uint64_t SampleSize = 0;
-  /// Wall-clock nanoseconds spent inside this lane's detector(s); for a
-  /// sharded lane, summed over its shard detectors.
+  /// Wall-clock nanoseconds spent inside this lane's detector.
   uint64_t WallNanos = 0;
-  /// Shard count this lane's shadow state was partitioned into
-  /// (SessionConfig::Shards; 0 = unsharded). Execution shape only: Stats,
-  /// Races and every other field are bit-identical across shard counts
-  /// (stripTiming zeroes this echo so the determinism tests can say so).
-  size_t Shards = 0;
   /// The deduplicated race exemplars (first report per signature, in
   /// first-seen order; signatures beyond the sink capacity are missing if
   /// RacesTruncated is set). Only populated for session-owned engine
@@ -96,10 +90,6 @@ struct SessionResult {
   size_t NumThreads = 0;
   /// Lane worker threads the run actually used (0 = sequential mode).
   size_t NumWorkers = 0;
-  /// Intra-engine shard count the run used (0 = unsharded). With S shards
-  /// and K engine lanes the session drives K*S shard detectors; NumWorkers
-  /// clamps against that product, not the lane count.
-  size_t Shards = 0;
   /// End-to-end wall-clock nanoseconds, begin() to finish().
   uint64_t WallNanos = 0;
   /// Nanoseconds the ingest thread spent drawing sampling decisions and (in
@@ -109,7 +99,7 @@ struct SessionResult {
   uint64_t IngestNanos = 0;
   /// Merged span profile (empty unless SessionConfig::ProfilingEnabled).
   /// The tree's shape, counts and counters are deterministic — identical
-  /// across worker and shard counts — and the same single measurements
+  /// across worker counts — and the same single measurements
   /// feed the legacy fields: session/ingest's nanos are IngestNanos,
   /// session/analyze/<engine>'s nanos are that lane's WallNanos. Strip
   /// timing (\ref stripTiming) before comparing runs.
@@ -125,10 +115,9 @@ struct SessionResult {
 
 /// Returns \p R with every execution-shape field zeroed: the wall-clock
 /// fields (WallNanos, IngestNanos, per-lane WallNanos, every nanosecond in
-/// the Profile tree) and the NumWorkers and Shards echoes. Two runs of an
-/// identically configured session are guaranteed byte-identical after
-/// stripping, for any worker count *and* any shard count — the determinism
-/// contract the tests enforce.
+/// the Profile tree) and the NumWorkers echo. Two runs of an identically
+/// configured session are guaranteed byte-identical after stripping, for
+/// any worker count — the determinism contract the tests enforce.
 SessionResult stripTiming(SessionResult R);
 
 /// Builder-style analysis pipeline. Configure (engines, sampling), then
@@ -138,12 +127,10 @@ SessionResult stripTiming(SessionResult R);
 ///
 /// The ingest side is single-threaded: callers feeding events from several
 /// threads serialize through \ref SessionHooks. With
-/// SessionConfig::NumWorkers > 0 the detector work runs on worker threads
-/// behind a bounded hand-off ring; with SessionConfig::Shards >= 2 each
-/// engine lane is additionally split into per-shard detectors partitioning
-/// the variable space (N lanes x S shards schedulable drives). Every
-/// detector instance is still driven by exactly one thread in trace order,
-/// so no detector state is ever shared.
+/// SessionConfig::NumWorkers > 0 the lanes themselves run on worker
+/// threads behind a bounded hand-off ring; each lane (detector) is still
+/// driven by exactly one thread in trace order, so no detector state is
+/// ever shared.
 class AnalysisSession {
 public:
   AnalysisSession(); // Out of line: ParallelExecutor is incomplete here.
@@ -212,29 +199,22 @@ public:
   std::unique_ptr<prof::Profiler> takeProfiler() { return std::move(Prof); }
 
 private:
-  /// One schedulable detector drive: an unsharded lane contributes one
-  /// unit, a sharded lane one unit per shard. Units are what the executor
-  /// distributes over workers — N lanes x S shards flatten into N*S units,
-  /// so Shards composes with NumWorkers with no second fan-out layer.
-  struct Unit {
+  /// One detector lane (one EngineRun): the detector and how to drive it.
+  struct Lane {
     Detector *D = nullptr;
+    /// Set for session-owned lanes; null for a borrowed (addDetector) one.
+    std::unique_ptr<Detector> Owned;
     uint64_t Nanos = 0;
     /// Differential-harness axis (SessionConfig::PerEventDispatch): route
-    /// this unit through the per-event reference loop instead of the
+    /// this lane through the per-event reference loop instead of the
     /// engine's devirtualized batch override.
     bool PerEvent = false;
     /// Profiling (null when disabled): the driving thread's tree and this
-    /// unit's session/analyze/<engine> node in it, assigned by whichever
-    /// thread owns the unit (ingest thread in sequential mode, the owning
+    /// lane's session/analyze/<engine> node in it, assigned by whichever
+    /// thread owns the lane (ingest thread in sequential mode, the owning
     /// worker in parallel mode).
     prof::Tree *PT = nullptr;
     prof::NodeId PNode = 0;
-    /// Only the lane's primary drive (shard 0 / unsharded) bumps the span
-    /// count; other shards contribute nanos only — that keeps the merged
-    /// count equal to the batch count at every shard count.
-    bool CountsProfile = false;
-    /// Engine name for interning PNode (workers intern lazily at startup).
-    std::string ProfLabel;
 
     void feed(std::span<const Event> Events, std::span<const uint8_t> Ds) {
       if (PerEvent)
@@ -244,30 +224,9 @@ private:
     }
   };
 
-  /// One reported detector lane (one EngineRun): its detectors (one, or
-  /// one per shard) plus the [FirstUnit, FirstUnit+NumUnits) slice of
-  /// \ref Units that drives them.
-  struct Lane {
-    /// Session-owned detectors; empty for a borrowed (addDetector) lane.
-    /// Borrowed lanes never shard: the caller reads races() off their own
-    /// detector, which must therefore see the full variable space.
-    std::vector<std::unique_ptr<Detector>> Owned;
-    Detector *Borrowed = nullptr;
-    size_t FirstUnit = 0;
-    size_t NumUnits = 1;
-    /// Shard count of this lane (0 = unsharded).
-    size_t Shards = 0;
-
-    /// The result-bearing detector: shard 0 (whose sink feeds the merge
-    /// first) or the single unsharded/borrowed detector.
-    Detector *primary() const {
-      return Borrowed ? Borrowed : Owned.front().get();
-    }
-  };
-
-  /// The parallel engine (defined in AnalysisSession.cpp): a bounded
+  /// The parallel lane engine (defined in AnalysisSession.cpp): a bounded
   /// single-producer broadcast ring plus one thread per worker, each worker
-  /// owning a fixed subset of units.
+  /// owning a fixed subset of lanes.
   class ParallelExecutor;
 
   /// Shared driver behind run(Trace) and the text-stream fallback:
@@ -286,7 +245,6 @@ private:
   /// instead of copying each batch into the ring.
   bool StableSource = false;
   std::vector<Lane> Lanes;
-  std::vector<Unit> Units;
   std::unique_ptr<ParallelExecutor> Par;
   Sampler *S = nullptr;
   std::vector<uint8_t> Decisions;
@@ -318,12 +276,13 @@ private:
 class SessionHooks {
 public:
   /// The session must already be begun (with capacity for every thread id
-  /// that will register).
+  /// that will register). Hooks naming a thread outside the session's
+  /// universe — NoThread included, and a fork/join child too — are
+  /// dropped.
   explicit SessionHooks(AnalysisSession &Session) : Session(Session) {}
 
-  /// Dense thread ids; 0 is pre-registered as the main thread. Asserts
-  /// that the id stays within the session's thread universe (mirroring
-  /// rt::Runtime::registerThread).
+  /// Dense thread ids; 0 is pre-registered as the main thread. Returns
+  /// NoThread once the session's thread universe is exhausted.
   ThreadId registerThread();
   SyncId registerSync();
 

@@ -68,22 +68,9 @@ struct SessionConfig {
   /// thread and its decision stream is shipped alongside each batch, so
   /// every lane sees the identical event + decision sequence regardless of
   /// the worker count: results are bit-identical to sequential mode by
-  /// construction (only wall-clock timing fields differ).
+  /// construction (only wall-clock timing fields differ). Lanes are the
+  /// unit of parallelism: one engine lane is one detector on one thread.
   size_t NumWorkers = 0;
-  /// Intra-engine sharding: partition each engine lane's variable shadow
-  /// state into S detectors by VarId % S. Access events are analyzed by
-  /// the owning shard only; sync events are replicated into every shard
-  /// (the per-thread clock state is lightweight, so replication beats
-  /// cross-shard coordination); per-shard race sinks and metrics merge
-  /// back into one EngineRun. 0 or 1 = unsharded. Results are
-  /// bit-identical to unsharded runs by construction — signature sets,
-  /// metrics, racesTruncated, everything but the timing/shape echoes.
-  /// Composes with NumWorkers: N lanes x S shards yield N*S schedulable
-  /// units, so a *single* engine on a huge trace finally scales past one
-  /// core (the fig5b plateau ROADMAP item 1 calls out). Sharding pays
-  /// when access work dominates (high sampling rates / full detection);
-  /// at very low rates the replicated sync work caps the win.
-  size_t Shards = 0;
   /// Thread-universe size for detector construction. 0 means "derive from
   /// the source" (trace header or Trace::numThreads); live-hook sessions
   /// fall back to MaxThreads.
@@ -129,8 +116,8 @@ struct SessionConfig {
   // -- Self-profiling ---------------------------------------------------
   /// Build the hierarchical span profile (sampletrack/prof) while the
   /// session runs: per-phase and per-engine counts/nanos land in
-  /// SessionResult::Profile (deterministic modulo nanos across worker and
-  /// shard counts), and the session's profiler is exposed for chrome-trace
+  /// SessionResult::Profile (deterministic modulo nanos across worker
+  /// counts), and the session's profiler is exposed for chrome-trace
   /// export. Off (the default) costs one pointer test per batch; analysis
   /// results are bit-identical either way. Also forwarded to the online
   /// runtime via \ref runtimeConfig.

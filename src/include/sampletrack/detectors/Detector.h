@@ -73,15 +73,6 @@ public:
   virtual void onReleaseJoin(ThreadId T, SyncId S) = 0;
   virtual void onAcquireLoad(ThreadId T, SyncId S) = 0;
 
-  /// Sharded mode only: a *sampled* access owned by another shard. The
-  /// access itself is analyzed exactly once (by the owning shard), but any
-  /// per-thread side effect it would have had must replicate everywhere so
-  /// each shard's clock state evolves exactly as an unsharded run's. For
-  /// the sampling engines that side effect is the dirty bit gating the
-  /// release-side epoch flush (Algorithm 2, Line 19); engines whose access
-  /// handlers are purely variable-local (FT, Djit+, TC) keep the no-op.
-  virtual void onForeignSampledAccess(ThreadId T) { (void)T; }
-
   /// Dispatches \p E to the right handler and advances the stream position.
   /// \p Sampled is ignored for non-access events.
   void processEvent(const Event &E, bool Sampled);
@@ -156,33 +147,7 @@ public:
   /// Stream position (index of the next event).
   uint64_t position() const { return Position; }
 
-  /// Configures this instance as shard \p Index of \p Count in a sharded
-  /// single-engine run (api::AnalysisSession calls it for
-  /// SessionConfig::Shards >= 2). The shard owns exactly the variables with
-  /// VarId % Count == Index: it analyzes their accesses, replicates every
-  /// sync event (so its per-thread clock state is byte-identical to an
-  /// unsharded run's), and sees foreign sampled accesses only through
-  /// \ref onForeignSampledAccess. Must be called before the first event.
-  void setShard(uint32_t Index, uint32_t Count) {
-    assert(Position == 0 && "shard layout must be fixed before any event");
-    assert(Count >= 2 && Index < Count && "index out of range");
-    ShardIdx = Index;
-    ShardCnt = Count;
-  }
-
-  /// Shard count this instance was configured with; 0 when unsharded.
-  uint32_t shardCount() const { return ShardCnt; }
-  uint32_t shardIndex() const { return ShardIdx; }
-
 protected:
-  /// Dense per-shard slot of an owned VarId: only VarIds congruent to
-  /// shardIndex() arrive at a shard's access handlers, so dividing by the
-  /// shard count packs each shard's shadow table to ~1/Count the unsharded
-  /// footprint instead of leaving Count-1 holes per owned variable.
-  size_t varSlot(VarId X) const {
-    return ShardCnt > 1 ? static_cast<size_t>(X) / ShardCnt
-                        : static_cast<size_t>(X);
-  }
   /// The devirtualized batch loop behind every engine's processBatch
   /// override: one lane-guard entry and one bulk stats update per batch,
   /// a direct switch on OpKind per event, and — when \p SkipUnsampled is
@@ -248,96 +213,6 @@ protected:
     Self.Stats.SampledAccesses += SampledAccesses;
   }
 
-  /// \ref batchDispatch for a shard of a sharded run (shardCount() >= 2).
-  /// Same devirtualization contract, different routing: an access event is
-  /// dispatched only when this shard owns its variable (VarId % Count ==
-  /// Index) — foreign sampled accesses collapse to the
-  /// \ref onForeignSampledAccess side-effect hook — while sync events are
-  /// replicated into every shard so the per-thread clock state evolves
-  /// exactly as sequential. Metrics stay a field-wise *sum* over shards:
-  /// access-side counters are naturally disjoint, and the replicated
-  /// sync-side work is attributed to shard 0 only (the other shards run
-  /// the handler for its state effect under a save/restore of Stats).
-  /// Position still advances on *every* event, owned or not, so exemplar
-  /// positions are globally comparable and the per-shard sink merge can
-  /// reproduce sequential first-seen order (triage::mergeShardSummaries).
-  template <bool SkipUnsampled, typename Concrete>
-  static void batchDispatchSharded(Concrete &Self,
-                                   std::span<const Event> Events,
-                                   std::span<const uint8_t> Sampled) {
-    assert(Events.size() == Sampled.size() && "one decision per event");
-    assert(Self.ShardCnt >= 2 && "sharded dispatch on an unsharded lane");
-#ifndef NDEBUG
-    DriverScope Guard(Self);
-#endif
-    const uint32_t Count = Self.ShardCnt;
-    const bool CountsSync = Self.ShardIdx == 0;
-    uint64_t OwnedEvents = 0, Accesses = 0, SampledAccesses = 0;
-    for (size_t I = 0, N = Events.size(); I < N; ++I) {
-      const Event &E = Events[I];
-      switch (E.Kind) {
-      case OpKind::Read:
-      case OpKind::Write: {
-        bool IsSampled = Sampled[I] != 0;
-        if (static_cast<uint32_t>(E.var() % Count) != Self.ShardIdx) {
-          if (IsSampled)
-            Self.Concrete::onForeignSampledAccess(E.Tid);
-          break;
-        }
-        ++OwnedEvents;
-        ++Accesses;
-        SampledAccesses += IsSampled ? 1 : 0;
-        if (SkipUnsampled && !IsSampled)
-          break;
-        if (E.Kind == OpKind::Read)
-          Self.Concrete::onRead(E.Tid, E.var(), IsSampled);
-        else
-          Self.Concrete::onWrite(E.Tid, E.var(), IsSampled);
-        break;
-      }
-      default: {
-        Metrics Saved;
-        if (!CountsSync)
-          Saved = Self.Stats;
-        switch (E.Kind) {
-        case OpKind::Acquire:
-          Self.Concrete::onAcquire(E.Tid, E.sync());
-          break;
-        case OpKind::Release:
-          Self.Concrete::onRelease(E.Tid, E.sync());
-          break;
-        case OpKind::Fork:
-          Self.Concrete::onFork(E.Tid, E.childThread());
-          break;
-        case OpKind::Join:
-          Self.Concrete::onJoin(E.Tid, E.childThread());
-          break;
-        case OpKind::ReleaseStore:
-          Self.Concrete::onReleaseStore(E.Tid, E.sync());
-          break;
-        case OpKind::ReleaseJoin:
-          Self.Concrete::onReleaseJoin(E.Tid, E.sync());
-          break;
-        case OpKind::AcquireLoad:
-          Self.Concrete::onAcquireLoad(E.Tid, E.sync());
-          break;
-        default:
-          break; // Read/Write handled above.
-        }
-        if (!CountsSync)
-          Self.Stats = Saved;
-        else
-          ++OwnedEvents;
-        break;
-      }
-      }
-      ++Self.Position;
-    }
-    Self.Stats.Events += OwnedEvents;
-    Self.Stats.Accesses += Accesses;
-    Self.Stats.SampledAccesses += SampledAccesses;
-  }
-
   /// Records a race declaration at the current stream position. The hot
   /// path is allocation-free once the sink is warm (every distinct
   /// signature and racy location seen once): re-declarations are an O(1)
@@ -351,16 +226,7 @@ protected:
   Metrics Stats;
 
 private:
-  /// The per-event reference loop body for one shard of a sharded run —
-  /// what \ref processBatchGeneric calls per element when shardCount() >= 2
-  /// (the sharded counterpart of \ref processEvent, virtual dispatch and
-  /// all, so the differential harness can cross-check the devirtualized
-  /// sharded batch loop against it).
-  void processEventSharded(const Event &E, bool Sampled);
-
   size_t NumThreads;
-  uint32_t ShardIdx = 0;
-  uint32_t ShardCnt = 0; // 0 = unsharded.
   uint64_t Position = 0;
   triage::RaceSink Sink;
   std::unordered_set<VarId> RacyLocations;

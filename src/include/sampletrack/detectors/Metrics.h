@@ -89,11 +89,8 @@ struct Metrics {
   /// Multi-line human-readable dump.
   std::string str() const;
 
-  /// Field-wise accumulation. Sharded sessions sum the per-shard counters
-  /// into the lane's reported Metrics; the sharded dispatch contract
-  /// (access work partitioned by VarId, replicated sync work attributed to
-  /// shard 0 only) is what makes the sum land field-for-field on the
-  /// unsharded run's numbers.
+  /// Field-wise accumulation (rt::Runtime sums its per-thread counters
+  /// with it).
   Metrics &operator+=(const Metrics &O) {
     Events += O.Events;
     Accesses += O.Accesses;

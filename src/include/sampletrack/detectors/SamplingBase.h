@@ -57,13 +57,6 @@ public:
   void onRead(ThreadId T, VarId X, bool Sampled) final;
   void onWrite(ThreadId T, VarId X, bool Sampled) final;
 
-  /// Sharded runs: a sampled access that another shard analyzed. Its only
-  /// thread-local side effect is the dirty bit (every sampled access sets
-  /// it; Algorithm 2, Lines 6/12), which gates the release-side epoch
-  /// flush — replicate it so this shard's epochs and clocks advance
-  /// byte-identically to an unsharded run's.
-  void onForeignSampledAccess(ThreadId T) final { Dirty[T] = true; }
-
   HistoryKind historyKind() const { return Histories; }
 
   /// Local epoch e_t of thread \p T (tests inspect this).
@@ -118,14 +111,10 @@ protected:
   };
 
   VarState &varState(VarId X) {
-    // Sharded lanes only ever see their own residue class, so the table is
-    // indexed by the dense per-shard slot (X / shards) — 1/Count the
-    // unsharded footprint. Geometric growth either way: ascending-VarId
-    // traces would otherwise reallocate (and move every VarState) once per
-    // new variable.
-    size_t Slot = varSlot(X);
-    growToIndex(Vars, Slot);
-    VarState &V = Vars[Slot];
+    // Geometric growth: ascending-VarId traces would otherwise reallocate
+    // (and move every VarState) once per new variable.
+    growToIndex(Vars, X);
+    VarState &V = Vars[X];
     if (Histories == HistoryKind::VectorClocks) {
       if (V.W.size() == 0) {
         V.W = VectorClock(numThreads());

@@ -12,7 +12,7 @@
 /// deterministic \ref prof::Report keyed by span *path* — the merged tree's
 /// shape and counts are independent of which thread recorded which span, so
 /// an AnalysisSession profile is bit-identical (modulo nanos) across worker
-/// and shard counts.
+/// counts.
 ///
 /// Cost model:
 ///  - disabled (the default): call sites hold a null \ref Tree pointer, a
@@ -104,14 +104,11 @@ public:
   void pop(NodeId Id, uint64_t StartNanos, uint64_t EndNanos);
 
   /// Folds an externally measured duration into \p Id: aggregate only, no
-  /// timeline event, no clock read. \p Count 0 adds nanoseconds without a
-  /// call (how non-primary shard drives keep the merged tree's counts
-  /// shard-count-invariant).
-  void addSample(NodeId Id, uint64_t Nanos, uint64_t Count = 1);
+  /// timeline event, no clock read. Counts one call.
+  void addSample(NodeId Id, uint64_t Nanos);
   /// Like addSample but with endpoints, so the occurrence also lands on the
   /// export timeline (subject to the cap).
-  void addSpan(NodeId Id, uint64_t StartNanos, uint64_t EndNanos,
-               uint64_t Count = 1);
+  void addSpan(NodeId Id, uint64_t StartNanos, uint64_t EndNanos);
   /// Accumulates \p Delta into the user counter \p Name on node \p Id.
   void addCounter(NodeId Id, std::string_view Name, uint64_t Delta);
   /// addCounter plus a timestamped sample for the chrome-trace counter

@@ -10,7 +10,7 @@
 /// named spans with call counts, inclusive/exclusive nanoseconds and user
 /// counters, children sorted by name, counters sorted by name. Two runs of
 /// the same workload produce byte-identical reports after
-/// \ref prof::stripTiming, for any worker or shard count — the same
+/// \ref prof::stripTiming, for any worker count — the same
 /// determinism contract api::stripTiming gives SessionResult.
 ///
 //===----------------------------------------------------------------------===//

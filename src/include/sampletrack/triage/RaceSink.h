@@ -155,20 +155,6 @@ private:
 /// every part, so the merge is linear in total distinct signatures.
 TriageSummary mergeSummaries(const std::vector<TriageSummary> &Parts);
 
-/// Merges the per-shard summaries of ONE sharded lane back into the exact
-/// summary the unsharded run would have produced. Each shard ran with the
-/// full lane capacity \p Capacity and advanced its stream position over
-/// *every* event (owned or not), so exemplar positions are globally
-/// comparable: sorting all shard entries by exemplar position recovers
-/// sequential first-seen order, and re-capping at \p Capacity drops exactly
-/// the signatures the sequential sink would have dropped (a signature with
-/// first-seen rank <= Capacity has at most Capacity-1 in-shard
-/// predecessors, so no shard sink can have dropped it). Hits of re-capped
-/// signatures move to DroppedDeclarations, exactly as sequential counts
-/// every declaration of a never-stored signature as dropped.
-TriageSummary mergeShardSummaries(const std::vector<TriageSummary> &Shards,
-                                  size_t Capacity);
-
 } // namespace triage
 } // namespace sampletrack
 

@@ -85,18 +85,17 @@ void Tree::pop(NodeId Id, uint64_t StartNanos, uint64_t EndNanos) {
     ++TimelineDropped;
 }
 
-void Tree::addSample(NodeId Id, uint64_t Nanos, uint64_t Count) {
+void Tree::addSample(NodeId Id, uint64_t Nanos) {
   MaybeLock L(Mu, Locked);
   NodeData &N = Nodes[Id];
-  N.Count += Count;
+  N.Count += 1;
   N.Nanos += Nanos;
 }
 
-void Tree::addSpan(NodeId Id, uint64_t StartNanos, uint64_t EndNanos,
-                   uint64_t Count) {
+void Tree::addSpan(NodeId Id, uint64_t StartNanos, uint64_t EndNanos) {
   MaybeLock L(Mu, Locked);
   NodeData &N = Nodes[Id];
-  N.Count += Count;
+  N.Count += 1;
   N.Nanos += EndNanos - StartNanos;
   if (Timeline.size() < MaxTimelineEvents)
     Timeline.push_back({Id, StartNanos, EndNanos});

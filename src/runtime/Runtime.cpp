@@ -313,29 +313,9 @@ const prof::Profiler *Runtime::profiler() const { return I->Prof.get(); }
 
 Metrics Runtime::aggregatedMetrics() const {
   Metrics Out;
-  for (const ThreadState &TS : I->Threads) {
-    if (!TS.Registered)
-      continue;
-    const Metrics &S = TS.Stats;
-    Out.Events += S.Events;
-    Out.Accesses += S.Accesses;
-    Out.SampledAccesses += S.SampledAccesses;
-    Out.AcquiresTotal += S.AcquiresTotal;
-    Out.AcquiresSkipped += S.AcquiresSkipped;
-    Out.AcquiresProcessed += S.AcquiresProcessed;
-    Out.ReleasesTotal += S.ReleasesTotal;
-    Out.ReleasesSkipped += S.ReleasesSkipped;
-    Out.ReleasesProcessed += S.ReleasesProcessed;
-    Out.ShallowCopies += S.ShallowCopies;
-    Out.DeepCopies += S.DeepCopies;
-    Out.PoolHits += S.PoolHits;
-    Out.CowBreaks += S.CowBreaks;
-    Out.EntriesTraversed += S.EntriesTraversed;
-    Out.TraversalOpportunities += S.TraversalOpportunities;
-    Out.FullClockOps += S.FullClockOps;
-    Out.RaceChecks += S.RaceChecks;
-    Out.RacesDeclared += S.RacesDeclared;
-  }
+  for (const ThreadState &TS : I->Threads)
+    if (TS.Registered)
+      Out += TS.Stats;
   return Out;
 }
 
@@ -359,7 +339,7 @@ struct HookSample {
       : PT(PT), Id(Id), T0(PT ? prof::nowNanos() : 0) {}
   ~HookSample() {
     if (PT)
-      PT->addSample(Id, prof::nowNanos() - T0, 1);
+      PT->addSample(Id, prof::nowNanos() - T0);
   }
 };
 

@@ -7,7 +7,6 @@
 
 #include "sampletrack/triage/RaceSink.h"
 
-#include <algorithm>
 #include <cassert>
 
 using namespace sampletrack;
@@ -116,38 +115,5 @@ sampletrack::triage::mergeSummaries(const std::vector<TriageSummary> &Parts) {
     Out.Capped = Out.Capped || P.Capped;
   }
   Out.Entries = Tmp.summary().Entries;
-  return Out;
-}
-
-TriageSummary
-sampletrack::triage::mergeShardSummaries(const std::vector<TriageSummary> &Shards,
-                                         size_t Capacity) {
-  // Interleave the shards' first-seen streams by exemplar position. Stable
-  // for determinism's sake, though positions are unique: one event declares
-  // at most one distinct (var, kind, role) triple.
-  std::vector<TriageEntry> All;
-  TriageSummary Out;
-  for (const TriageSummary &S : Shards) {
-    All.insert(All.end(), S.Entries.begin(), S.Entries.end());
-    Out.RacesDeclared += S.RacesDeclared;
-    Out.DroppedDeclarations += S.DroppedDeclarations;
-    Out.Capped = Out.Capped || S.Capped;
-  }
-  std::stable_sort(All.begin(), All.end(),
-                   [](const TriageEntry &A, const TriageEntry &B) {
-                     return A.Exemplar.EventIndex < B.Exemplar.EventIndex;
-                   });
-  // Re-cap at the lane capacity. Shards partition the variable space, so
-  // signatures are disjoint across shards up to 64-bit collisions — but a
-  // collision must dedup here exactly as the sequential sink would have
-  // (hits accumulate on the earliest exemplar), so probe through a sink.
-  size_t LaneCap = Capacity ? Capacity : 1;
-  RaceSink Tmp(LaneCap);
-  for (const TriageEntry &E : All)
-    Tmp.add(E.Signature, E.Exemplar, E.Hits);
-  TriageSummary Merged = Tmp.summary();
-  Out.Entries = std::move(Merged.Entries);
-  Out.DroppedDeclarations += Merged.DroppedDeclarations;
-  Out.Capped = Out.Capped || Merged.Capped;
   return Out;
 }

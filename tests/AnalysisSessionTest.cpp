@@ -180,6 +180,69 @@ TEST(AnalysisSession, LiveHooksMatchEquivalentTrace) {
   EXPECT_EQ(FromHooks.Engines[0].NumRaces, 1u); // The unprotected w(y) pair.
 }
 
+TEST(AnalysisSession, LiveHooksDropThreadsOutsideTheUniverse) {
+  // A two-thread universe: registerThread hands out thread 1, then
+  // NoThread. Hooks naming NoThread or an id past the universe (as the
+  // acting thread or as a fork/join child) index past every detector's
+  // per-thread tables, so they must be dropped — the run has to equal the
+  // same hook sequence without them.
+  api::SessionConfig Cfg;
+  Cfg.Engines.assign(std::begin(FanOutKinds), std::end(FanOutKinds));
+  Cfg.Sampling = api::SamplerKind::Always;
+  Cfg.NumThreads = 2;
+
+  auto Drive = [&](bool WithStrays) {
+    api::AnalysisSession Live(Cfg);
+    EXPECT_TRUE(Live.begin());
+    api::SessionHooks Hooks(Live);
+    ThreadId T1 = Hooks.registerThread();
+    EXPECT_EQ(T1, 1u);
+    SyncId L = Hooks.registerSync();
+    auto Strays = [&] {
+      if (!WithStrays)
+        return;
+      ThreadId Over = Hooks.registerThread();
+      EXPECT_EQ(Over, NoThread);
+      for (ThreadId B : {Over, ThreadId(2), ThreadId(1000)}) {
+        Hooks.onRead(B, 0);
+        Hooks.onWrite(B, 1);
+        Hooks.onAcquire(B, L);
+        Hooks.onRelease(B, L);
+        Hooks.onReleaseStore(B, L);
+        Hooks.onReleaseJoin(B, L);
+        Hooks.onAcquireLoad(B, L);
+        Hooks.onFork(B, T1);
+        Hooks.onJoin(B, T1);
+        Hooks.onFork(0, B);
+        Hooks.onJoin(T1, B);
+      }
+    };
+    Strays();
+    Hooks.onFork(0, T1);
+    Hooks.onAcquire(0, L);
+    Hooks.onWrite(0, 0);
+    Hooks.onRelease(0, L);
+    Hooks.onWrite(0, 1);
+    Strays();
+    Hooks.onAcquire(T1, L);
+    Hooks.onWrite(T1, 0);
+    Hooks.onRelease(T1, L);
+    Hooks.onWrite(T1, 1);
+    Hooks.onRead(T1, 2);
+    Strays();
+    Hooks.onJoin(0, T1);
+    Hooks.onRead(0, 2);
+    return api::stripTiming(Live.finish());
+  };
+
+  api::SessionResult Clean = Drive(false);
+  api::SessionResult WithStrays = Drive(true);
+  EXPECT_EQ(Clean.EventsProcessed, 12u);
+  ASSERT_NE(Clean.find("FT"), nullptr);
+  EXPECT_EQ(Clean.find("FT")->NumRaces, 1u); // The unprotected w(y) pair.
+  EXPECT_EQ(WithStrays, Clean);
+}
+
 TEST(AnalysisSession, DuplicateDeclarationsDedupWithoutTruncation) {
   // Two threads alternating unsynchronized writes to one location: every
   // access after the first declares a race — historically this overflowed

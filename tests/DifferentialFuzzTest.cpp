@@ -225,12 +225,11 @@ TEST(DifferentialFuzz, FullEnginesMatchOracleOnRandomCases) {
 //===----------------------------------------------------------------------===//
 
 //===----------------------------------------------------------------------===//
-// Hot-path axes: the pooled copy-on-write allocator, the devirtualized
-// batch dispatch and the VarId-sharded executor must be invisible — every
-// engine, at every sampling rate, batch geometry, worker count and shard
-// count, must produce the result of the unsharded unpooled per-event
-// reference path, bit-for-bit (modulo timing and PoolHits, the
-// free-list-vs-allocator counter).
+// Hot-path axes: the pooled copy-on-write allocator and the devirtualized
+// batch dispatch must be invisible — every engine, at every sampling rate,
+// batch geometry and worker count, must produce the result of the
+// unpooled per-event reference path, bit-for-bit (modulo timing and
+// PoolHits, the free-list-vs-allocator counter).
 //===----------------------------------------------------------------------===//
 
 TEST(DifferentialFuzz, PooledAndBatchedPathsMatchPerEventUnpooled) {
@@ -238,7 +237,6 @@ TEST(DifferentialFuzz, PooledAndBatchedPathsMatchPerEventUnpooled) {
   const std::vector<EngineKind> Kinds = allEngineKinds();
   const double Rates[] = {0.003, 0.03, 1.0};
   const size_t WorkerAxis[] = {0, 1, 2, 8};
-  const size_t ShardAxis[] = {0, 2, 4, 8};
   const int Cases = fuzzCases(15);
   for (int Case = 0; Case < Cases; ++Case) {
     Trace T = randomTrace(Rng);
@@ -251,8 +249,7 @@ TEST(DifferentialFuzz, PooledAndBatchedPathsMatchPerEventUnpooled) {
     Base.Seed = Rng.next();
     Base.BatchSize = 1 + Rng.nextBelow(300);
 
-    // Reference: sequential, unsharded, per-event dispatch, pooling off —
-    // the paths this PR did not touch.
+    // Reference: sequential, per-event dispatch, pooling off.
     api::SessionConfig RefCfg = Base;
     RefCfg.PerEventDispatch = true;
     RefCfg.PoolingEnabled = false;
@@ -270,46 +267,41 @@ TEST(DifferentialFuzz, PooledAndBatchedPathsMatchPerEventUnpooled) {
           {false, false, "unpooled+batched"} // Isolates batch dispatch.
       };
       for (const auto &V : Variants) {
-        for (size_t Shards : ShardAxis) {
-          api::SessionConfig Cfg = Base;
-          Cfg.PoolingEnabled = V.Pooling;
-          Cfg.PerEventDispatch = V.PerEvent;
-          Cfg.NumWorkers = W;
-          Cfg.Shards = Shards;
-          api::SessionResult R = stripPoolHits(
-              api::stripTiming(api::AnalysisSession(Cfg).run(T)));
-          // Lane-by-lane first (readable failures), then the whole result.
-          ASSERT_EQ(R.Engines.size(), Ref.Engines.size());
-          for (size_t I = 0; I < R.Engines.size(); ++I) {
-            SCOPED_TRACE(std::string(V.Name) + ", workers=" +
-                         std::to_string(W) + ", shards=" +
-                         std::to_string(Shards) + ", " +
-                         std::string(engineKindName(Kinds[I])) + ", case " +
-                         std::to_string(Case));
-            EXPECT_EQ(R.Engines[I].Races, Ref.Engines[I].Races);
-            EXPECT_EQ(R.Engines[I].Stats, Ref.Engines[I].Stats);
-            EXPECT_EQ(R.Engines[I].RacesTruncated,
-                      Ref.Engines[I].RacesTruncated);
-          }
-          // The triage axis: the deduplicated signature set (and its hit
-          // counts) must be bit-identical across every worker count, shard
-          // count, pooling mode and dispatch path — the warehouse's
-          // stability contract.
-          ASSERT_EQ(R.Triage.Entries.size(), Ref.Triage.Entries.size())
-              << V.Name << ", workers=" << W << ", shards=" << Shards
-              << ", case " << Case;
-          for (size_t I = 0; I < R.Triage.Entries.size(); ++I)
-            EXPECT_TRUE(R.Triage.Entries[I] == Ref.Triage.Entries[I])
-                << V.Name << ", workers=" << W << ", shards=" << Shards
-                << ", case " << Case << ": triage entry " << I
-                << " diverged (signature "
-                << triage::RaceSignature{R.Triage.Entries[I].Signature}.hex()
-                << " vs "
-                << triage::RaceSignature{Ref.Triage.Entries[I].Signature}.hex()
-                << ")";
-          EXPECT_TRUE(R == Ref) << V.Name << ", workers=" << W
-                                << ", shards=" << Shards << ", case " << Case;
+        api::SessionConfig Cfg = Base;
+        Cfg.PoolingEnabled = V.Pooling;
+        Cfg.PerEventDispatch = V.PerEvent;
+        Cfg.NumWorkers = W;
+        api::SessionResult R = stripPoolHits(
+            api::stripTiming(api::AnalysisSession(Cfg).run(T)));
+        // Lane-by-lane first (readable failures), then the whole result.
+        ASSERT_EQ(R.Engines.size(), Ref.Engines.size());
+        for (size_t I = 0; I < R.Engines.size(); ++I) {
+          SCOPED_TRACE(std::string(V.Name) + ", workers=" +
+                       std::to_string(W) + ", " +
+                       std::string(engineKindName(Kinds[I])) + ", case " +
+                       std::to_string(Case));
+          EXPECT_EQ(R.Engines[I].Races, Ref.Engines[I].Races);
+          EXPECT_EQ(R.Engines[I].Stats, Ref.Engines[I].Stats);
+          EXPECT_EQ(R.Engines[I].RacesTruncated,
+                    Ref.Engines[I].RacesTruncated);
         }
+        // The triage axis: the deduplicated signature set (and its hit
+        // counts) must be bit-identical across every worker count,
+        // pooling mode and dispatch path — the warehouse's stability
+        // contract.
+        ASSERT_EQ(R.Triage.Entries.size(), Ref.Triage.Entries.size())
+            << V.Name << ", workers=" << W << ", case " << Case;
+        for (size_t I = 0; I < R.Triage.Entries.size(); ++I)
+          EXPECT_TRUE(R.Triage.Entries[I] == Ref.Triage.Entries[I])
+              << V.Name << ", workers=" << W << ", case " << Case
+              << ": triage entry " << I
+              << " diverged (signature "
+              << triage::RaceSignature{R.Triage.Entries[I].Signature}.hex()
+              << " vs "
+              << triage::RaceSignature{Ref.Triage.Entries[I].Signature}.hex()
+              << ")";
+        EXPECT_TRUE(R == Ref) << V.Name << ", workers=" << W
+                              << ", case " << Case;
       }
     }
   }
@@ -381,7 +373,7 @@ TEST(DifferentialFuzz, ExploredSchedulesReplayBitIdenticalAcrossHotPathAxes) {
 //===----------------------------------------------------------------------===//
 // The profiling axis: SessionConfig::ProfilingEnabled may add spans to the
 // result but must never change it — every analysis field must be
-// bit-identical with profiling on vs off, across worker and shard counts.
+// bit-identical with profiling on vs off, across worker counts.
 //===----------------------------------------------------------------------===//
 
 TEST(DifferentialFuzz, ProfilingOnOffBitIdentical) {
@@ -400,27 +392,23 @@ TEST(DifferentialFuzz, ProfilingOnOffBitIdentical) {
     Base.Seed = Rng.next();
     Base.BatchSize = 1 + Rng.nextBelow(300);
 
-    for (size_t Workers : {size_t(0), size_t(2)})
-      for (size_t Shards : {size_t(0), size_t(4)}) {
-        api::SessionConfig Off = Base;
-        Off.NumWorkers = Workers;
-        Off.Shards = Shards;
-        api::SessionConfig On = Off;
-        On.ProfilingEnabled = true;
+    for (size_t Workers : {size_t(0), size_t(2)}) {
+      api::SessionConfig Off = Base;
+      Off.NumWorkers = Workers;
+      api::SessionConfig On = Off;
+      On.ProfilingEnabled = true;
 
-        api::SessionResult ROff =
-            api::stripTiming(api::AnalysisSession(Off).run(T));
-        api::SessionResult ROn =
-            api::stripTiming(api::AnalysisSession(On).run(T));
-        ASSERT_TRUE(ROff.Profile.empty());
-        EXPECT_FALSE(ROn.Profile.empty());
-        // The profile is the one field profiling may add; everything the
-        // analysis computed must be untouched by the measurement.
-        ROn.Profile = prof::Report();
-        EXPECT_TRUE(ROn == ROff)
-            << "case " << Case << ", workers=" << Workers
-            << ", shards=" << Shards;
-      }
+      api::SessionResult ROff =
+          api::stripTiming(api::AnalysisSession(Off).run(T));
+      api::SessionResult ROn =
+          api::stripTiming(api::AnalysisSession(On).run(T));
+      ASSERT_TRUE(ROff.Profile.empty());
+      EXPECT_FALSE(ROn.Profile.empty());
+      // The profile is the one field profiling may add; everything the
+      // analysis computed must be untouched by the measurement.
+      ROn.Profile = prof::Report();
+      EXPECT_TRUE(ROn == ROff) << "case " << Case << ", workers=" << Workers;
+    }
   }
 }
 
@@ -480,8 +468,7 @@ TEST(DifferentialFuzz, SessionFanOutMatchesStandaloneRunsLaneByLane) {
 // The SIMD tier axis: the clock kernels (AVX2/NEON vs scalar) sit under
 // every detector's joins, comparisons and snapshots, so whole-session
 // results must be bit-identical whichever tier executes — across the
-// worker and shard axes too, since those reshuffle which threads run the
-// kernels. This is the differential proof the vectorized tiers rest on;
+// worker axis too, since it reshuffles which threads run the kernels. This is the differential proof the vectorized tiers rest on;
 // CI's force-scalar leg runs the same binary with the scalar tier pinned.
 //===----------------------------------------------------------------------===//
 
@@ -500,7 +487,6 @@ TEST(DifferentialFuzz, SimdTiersBitIdenticalToScalarAcrossSessions) {
   const std::vector<EngineKind> Kinds = allEngineKinds();
   const double Rates[] = {0.003, 0.03, 1.0};
   const size_t WorkerAxis[] = {0, 2};
-  const size_t ShardAxis[] = {0, 4};
   const int Cases = fuzzCases(12);
   for (int Case = 0; Case < Cases; ++Case) {
     Trace T = randomTrace(Rng);
@@ -514,37 +500,32 @@ TEST(DifferentialFuzz, SimdTiersBitIdenticalToScalarAcrossSessions) {
     Base.BatchSize = 1 + Rng.nextBelow(300);
 
     for (size_t W : WorkerAxis) {
-      for (size_t Shards : ShardAxis) {
-        api::SessionConfig Cfg = Base;
-        Cfg.NumWorkers = W;
-        Cfg.Shards = Shards;
+      api::SessionConfig Cfg = Base;
+      Cfg.NumWorkers = W;
 
-        // Scalar reference. forceTier flips only between runs: no session
-        // is live while the active table changes.
-        ASSERT_TRUE(simd::forceTier(simd::Tier::Scalar));
-        api::SessionResult Ref =
+      // Scalar reference. forceTier flips only between runs: no session
+      // is live while the active table changes.
+      ASSERT_TRUE(simd::forceTier(simd::Tier::Scalar));
+      api::SessionResult Ref =
+          api::stripTiming(api::AnalysisSession(Cfg).run(T));
+
+      for (simd::Tier Tier : Tiers) {
+        ASSERT_TRUE(simd::forceTier(Tier));
+        api::SessionResult R =
             api::stripTiming(api::AnalysisSession(Cfg).run(T));
-
-        for (simd::Tier Tier : Tiers) {
-          ASSERT_TRUE(simd::forceTier(Tier));
-          api::SessionResult R =
-              api::stripTiming(api::AnalysisSession(Cfg).run(T));
-          ASSERT_EQ(R.Engines.size(), Ref.Engines.size());
-          for (size_t I = 0; I < R.Engines.size(); ++I) {
-            SCOPED_TRACE(std::string(simd::tierName(Tier)) + ", workers=" +
-                         std::to_string(W) + ", shards=" +
-                         std::to_string(Shards) + ", " +
-                         std::string(engineKindName(Kinds[I])) + ", case " +
-                         std::to_string(Case));
-            EXPECT_EQ(R.Engines[I].Races, Ref.Engines[I].Races);
-            EXPECT_EQ(R.Engines[I].Stats, Ref.Engines[I].Stats);
-          }
-          EXPECT_TRUE(R == Ref)
-              << simd::tierName(Tier) << ", workers=" << W
-              << ", shards=" << Shards << ", case " << Case;
+        ASSERT_EQ(R.Engines.size(), Ref.Engines.size());
+        for (size_t I = 0; I < R.Engines.size(); ++I) {
+          SCOPED_TRACE(std::string(simd::tierName(Tier)) + ", workers=" +
+                       std::to_string(W) + ", " +
+                       std::string(engineKindName(Kinds[I])) + ", case " +
+                       std::to_string(Case));
+          EXPECT_EQ(R.Engines[I].Races, Ref.Engines[I].Races);
+          EXPECT_EQ(R.Engines[I].Stats, Ref.Engines[I].Stats);
         }
-        simd::forceTier(Native);
+        EXPECT_TRUE(R == Ref) << simd::tierName(Tier) << ", workers=" << W
+                              << ", case " << Case;
       }
+      simd::forceTier(Native);
     }
   }
 }

@@ -7,7 +7,7 @@
 // names describe and the exclusive-time arithmetic holds; the merged report
 // is keyed by span path, not by which tree recorded it; a profiled
 // AnalysisSession's report is byte-identical (modulo timing) across every
-// worker and shard count; disabled profiling yields the empty profile; and
+// worker count; disabled profiling yields the empty profile; and
 // the chrome-trace export of all three batch subsystems (session, runtime,
 // explore) is well-formed Trace Event Format JSON.
 //
@@ -141,7 +141,7 @@ TEST(Profiler, MergeIsKeyedByPathNotByRecordingTree) {
   EXPECT_EQ(Work->Counters[0].second, 10u);
 }
 
-TEST(Profiler, InternPathRecordsNothingAndZeroCountSamplesAddOnlyNanos) {
+TEST(Profiler, InternPathRecordsNothingAndSamplesFoldIn) {
   prof::Profiler P;
   prof::Tree *T = P.makeTree("t");
 
@@ -155,18 +155,17 @@ TEST(Profiler, InternPathRecordsNothingAndZeroCountSamplesAddOnlyNanos) {
   EXPECT_EQ(A0->InclusiveNanos, 0u);
   ASSERT_NE(child(*A0, "b"), nullptr);
 
-  // Count=0 folds nanoseconds in without a call — the non-primary shard
-  // drive convention that keeps counts shard-count-invariant.
-  T->addSample(Leaf, 1000, /*Count=*/0);
-  T->addSample(Leaf, 500, /*Count=*/1);
+  // Each sample folds in one call and its nanoseconds.
+  T->addSample(Leaf, 1000);
+  T->addSample(Leaf, 500);
   prof::Report R1 = P.report();
   const prof::ReportNode *C1 = child(*child(*child(R1.Root, "a"), "b"), "c");
   ASSERT_NE(C1, nullptr);
-  EXPECT_EQ(C1->Count, 1u);
+  EXPECT_EQ(C1->Count, 2u);
   EXPECT_EQ(C1->InclusiveNanos, 1500u);
 }
 
-TEST(Profiler, SessionProfileIsIdenticalAcrossWorkerAndShardCounts) {
+TEST(Profiler, SessionProfileIsIdenticalAcrossWorkerCounts) {
   // The tentpole determinism contract: the merged span tree — shape,
   // counts, counters, rendered bytes — is independent of how the work was
   // scheduled. Only nanoseconds may differ.
@@ -199,18 +198,15 @@ TEST(Profiler, SessionProfileIsIdenticalAcrossWorkerAndShardCounts) {
   EXPECT_EQ(Session->Counters[0].second, T.size());
   EXPECT_EQ(Session->Counters[1].first, "sampledAccesses");
 
-  for (size_t W : {size_t(0), size_t(1), size_t(2), size_t(8)})
-    for (size_t S : {size_t(0), size_t(2), size_t(4), size_t(8)}) {
-      SCOPED_TRACE("workers=" + std::to_string(W) +
-                   " shards=" + std::to_string(S));
-      api::SessionConfig C = Cfg;
-      C.NumWorkers = W;
-      C.Shards = S;
-      api::SessionResult R = api::AnalysisSession(C).run(T);
-      prof::Report Stripped = prof::stripTiming(R.Profile);
-      EXPECT_TRUE(Stripped == Baseline);
-      EXPECT_EQ(prof::toText(Stripped), BaselineText);
-    }
+  for (size_t W : {size_t(0), size_t(1), size_t(2), size_t(8)}) {
+    SCOPED_TRACE("workers=" + std::to_string(W));
+    api::SessionConfig C = Cfg;
+    C.NumWorkers = W;
+    api::SessionResult R = api::AnalysisSession(C).run(T);
+    prof::Report Stripped = prof::stripTiming(R.Profile);
+    EXPECT_TRUE(Stripped == Baseline);
+    EXPECT_EQ(prof::toText(Stripped), BaselineText);
+  }
 }
 
 TEST(Profiler, DisabledProfilingYieldsEmptyProfileAndStripCoversProfile) {
