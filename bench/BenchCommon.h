@@ -174,7 +174,7 @@ private:
 /// Runs engine \p K over a pre-marked trace \p T, replaying the Marked bits
 /// as the sample set, and returns the single-lane result. \p NumWorkers
 /// threads drive the lane(s) when nonzero (bit-identical to sequential).
-inline sampletrack::rapid::RunResult
+inline sampletrack::api::EngineRun
 runMarked(const sampletrack::Trace &T, sampletrack::EngineKind K,
           size_t NumWorkers = 0) {
   sampletrack::api::SessionConfig Cfg;
@@ -183,7 +183,7 @@ runMarked(const sampletrack::Trace &T, sampletrack::EngineKind K,
   Cfg.NumWorkers = NumWorkers;
   sampletrack::api::SessionResult R =
       sampletrack::api::AnalysisSession(Cfg).run(T);
-  return sampletrack::rapid::fromEngineRun(R.Engines.front());
+  return std::move(R.Engines.front());
 }
 
 /// Fans every engine in \p Kinds out over a single traversal of the

@@ -39,15 +39,15 @@ int main(int argc, char **argv) {
     Trace Base = generateSuiteTrace(Name, O.Scale, O.Seed);
     for (size_t RI = 0; RI < 4; ++RI) {
       Trace T = Base;
-      rapid::markTrace(T, Rates[RI], O.Seed * 71 + RI);
+      markTrace(T, Rates[RI], O.Seed * 71 + RI);
 
       SamplingOrderedListDetector Vc(T.numThreads(), true,
                                      HistoryKind::VectorClocks);
       SamplingOrderedListDetector Eh(T.numThreads(), true,
                                      HistoryKind::Epochs);
       MarkedSampler S1, S2;
-      rapid::run(T, Vc, S1);
-      rapid::run(T, Eh, S2);
+      api::AnalysisSession().addDetector(Vc).withSampler(S1).run(T);
+      api::AnalysisSession().addDetector(Eh).withSampler(S2).run(T);
 
       Out.addRow({Name, RateNames[RI], std::to_string(T.countMarked()),
                   std::to_string(Vc.metrics().FullClockOps),

@@ -39,9 +39,10 @@ int main(int argc, char **argv) {
     Trace Base = generateSuiteTrace(Name, O.Scale, O.Seed);
     for (size_t RI = 0; RI < 4; ++RI) {
       Trace T = Base;
-      rapid::markTrace(T, Rates[RI], O.Seed * 43 + RI);
-      rapid::RunResult On = runMarked(T, EngineKind::SamplingO, O.Workers);
-      rapid::RunResult Off = runMarked(T, EngineKind::SamplingONoEpochOpt, O.Workers);
+      markTrace(T, Rates[RI], O.Seed * 43 + RI);
+      api::EngineRun On = runMarked(T, EngineKind::SamplingO, O.Workers);
+      api::EngineRun Off =
+          runMarked(T, EngineKind::SamplingONoEpochOpt, O.Workers);
       double Reduction =
           Off.Stats.DeepCopies
               ? 1.0 - static_cast<double>(On.Stats.DeepCopies) /

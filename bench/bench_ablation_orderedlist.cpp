@@ -37,7 +37,7 @@ int main(int argc, char **argv) {
   for (const SuiteEntry &E : suiteEntries()) {
     Trace Base = generateSuiteTrace(E.Name, O.Scale, O.Seed);
     Trace T = Base;
-    rapid::markTrace(T, 0.03, O.Seed * 53 + 1);
+    markTrace(T, 0.03, O.Seed * 53 + 1);
 
     // One session, one pass: both engines replay the same Marked bits.
     const EngineKind Kinds[] = {EngineKind::SamplingU, EngineKind::SamplingO};

@@ -44,9 +44,9 @@ int main(int argc, char **argv) {
     Trace Base = generateSuiteTrace(Name, O.Scale, O.Seed);
     for (size_t RI = 0; RI < 3; ++RI) {
       Trace T = Base;
-      rapid::markTrace(T, Rates[RI], O.Seed * 61 + RI);
-      rapid::RunResult Tc = runMarked(T, EngineKind::TreeClockFull, O.Workers);
-      rapid::RunResult So = runMarked(T, EngineKind::SamplingO, O.Workers);
+      markTrace(T, Rates[RI], O.Seed * 61 + RI);
+      api::EngineRun Tc = runMarked(T, EngineKind::TreeClockFull, O.Workers);
+      api::EngineRun So = runMarked(T, EngineKind::SamplingO, O.Workers);
       auto Pct = [](uint64_t N, uint64_t D) {
         return D ? Table::fmt(100.0 * N / D, 1) : std::string("-");
       };

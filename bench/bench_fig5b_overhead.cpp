@@ -113,10 +113,9 @@ int main(int argc, char **argv) {
   const BenchmarkSpec &RecSpec = benchbaseSuite().front();
   RunConfig RecC = Base;
   Analysis.SamplingRate = 0;
-  Analysis.RecordTrace = true;
   RecC.Rt = Analysis.runtimeConfig(rt::Mode::ET);
+  RecC.Rt.RecordTrace = true;
   Trace Rec = runBenchmark(RecSpec, RecC).Recorded;
-  Analysis.RecordTrace = false;
   std::printf("\n== 4-lane offline session over the recorded '%s' workload "
               "(%zu events) ==\n\n",
               RecSpec.Name.c_str(), Rec.size());

@@ -45,8 +45,8 @@ int main(int argc, char **argv) {
     };
     for (size_t I = 0; I < 4; ++I) {
       Trace T = Base;
-      rapid::markTrace(T, Cfgs[I].second, O.Seed * 13 + 7);
-      rapid::RunResult R = runMarked(T, Cfgs[I].first, O.Workers);
+      markTrace(T, Cfgs[I].second, O.Seed * 13 + 7);
+      api::EngineRun R = runMarked(T, Cfgs[I].first, O.Workers);
       const Metrics &M = R.Stats;
       Ratios[I] = M.AcquiresTotal ? static_cast<double>(M.AcquiresSkipped) /
                                         static_cast<double>(M.AcquiresTotal)

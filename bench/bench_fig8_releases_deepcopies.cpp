@@ -51,8 +51,8 @@ int main(int argc, char **argv) {
     };
     for (size_t I = 0; I < 4; ++I) {
       Trace T = Base;
-      rapid::markTrace(T, Cfgs[I].second, O.Seed * 13 + 7);
-      rapid::RunResult R = runMarked(T, Cfgs[I].first, O.Workers);
+      markTrace(T, Cfgs[I].second, O.Seed * 13 + 7);
+      api::EngineRun R = runMarked(T, Cfgs[I].first, O.Workers);
       const Metrics &M = R.Stats;
       bool IsSu = Cfgs[I].first == EngineKind::SamplingU;
       Json.addRow(E.Name, IsSu ? "SU" : "SO", Cfgs[I].second, T.size(),
@@ -107,7 +107,7 @@ int main(int argc, char **argv) {
   {
     Trace T = generateSuiteTrace(suiteEntries().front().Name, O.Scale,
                                  O.Seed);
-    rapid::markTrace(T, 0.03, O.Seed * 13 + 7);
+    markTrace(T, 0.03, O.Seed * 13 + 7);
     const EngineKind Kinds[] = {EngineKind::SamplingU, EngineKind::SamplingO};
     std::unique_ptr<prof::Profiler> P;
     api::SessionResult PR = runMarkedAllProfiled(T, Kinds, O.Workers, &P);

@@ -37,8 +37,8 @@ int main(int argc, char **argv) {
     const double Rates[2] = {0.03, 1.0};
     for (size_t I = 0; I < 2; ++I) {
       Trace T = Base;
-      rapid::markTrace(T, Rates[I], O.Seed * 13 + 7);
-      rapid::RunResult R = runMarked(T, EngineKind::SamplingO, O.Workers);
+      markTrace(T, Rates[I], O.Seed * 13 + 7);
+      api::EngineRun R = runMarked(T, EngineKind::SamplingO, O.Workers);
       const Metrics &M = R.Stats;
       uint64_t All = M.TraversalOpportunities;
       uint64_t Saved = All > M.EntriesTraversed ? All - M.EntriesTraversed

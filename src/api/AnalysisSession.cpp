@@ -136,7 +136,7 @@ private:
       for (size_t I = W; I < Lanes.size(); I += NumWorkers) {
         Lane &L = Lanes[I];
         uint64_t T0 = nowNanos();
-        L.feed(Events, Ds);
+        L.D->processBatch(Events, Ds);
         uint64_t Dt = nowNanos() - T0;
         L.Nanos += Dt;
         // One measurement, two consumers: EngineRun::WallNanos and the
@@ -265,14 +265,12 @@ bool AnalysisSession::begin(size_t NumThreads, std::string *Error) {
     if (Cfg.TriageCapacity)
       L.Owned->setRaceCapacity(Cfg.TriageCapacity);
     L.D = L.Owned.get();
-    L.PerEvent = Cfg.PerEventDispatch;
     Lanes.push_back(std::move(L));
   }
   for (Detector *D : BorrowedDetectors) {
     // Borrowed detectors keep their owner's pooling configuration.
     Lane L;
     L.D = D;
-    L.PerEvent = Cfg.PerEventDispatch;
     Lanes.push_back(std::move(L));
   }
 
@@ -346,7 +344,7 @@ void AnalysisSession::process(std::span<const Event> Batch) {
     std::span<const uint8_t> DsView(Decisions.data(), Batch.size());
     for (Lane &L : Lanes) {
       uint64_t T0Lane = nowNanos();
-      L.feed(Batch, DsView);
+      L.D->processBatch(Batch, DsView);
       uint64_t Dt = nowNanos() - T0Lane;
       L.Nanos += Dt;
       if (L.PT)
@@ -388,8 +386,8 @@ SessionResult AnalysisSession::finish() {
     E.RacesTruncated = L.D->racesTruncated();
     // Session-owned detectors die right after this loop, so steal their
     // (potentially million-entry) race lists. Borrowed detectors keep
-    // theirs — the caller owns the detector and reads races() directly
-    // (as rapid::run's callers do), so no copy is made here.
+    // theirs — the caller owns the detector and reads races() directly,
+    // so no copy is made here.
     if (L.Owned)
       E.Races = L.Owned->takeRaces();
     R.Engines.push_back(std::move(E));

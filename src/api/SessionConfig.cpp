@@ -50,9 +50,6 @@ rt::Config SessionConfig::runtimeConfig(rt::Mode M) const {
   C.SamplingRate = SamplingRate;
   C.Seed = Seed;
   C.MaxThreads = MaxThreads;
-  C.ShadowCells = ShadowCells;
-  C.ShadowShards = ShadowShards;
-  C.RecordTrace = RecordTrace;
   C.PoolingEnabled = PoolingEnabled;
   C.TriageCapacity = TriageCapacity;
   C.ProfilingEnabled = ProfilingEnabled;

@@ -42,7 +42,7 @@ DjitDetector::VarState &DjitDetector::varState(VarId X) {
 
 void DjitDetector::incrementLocal(ThreadId T) { Threads[T].bump(T); }
 
-void DjitDetector::onRead(ThreadId T, VarId X, bool) {
+void DjitDetector::onRead(ThreadId T, VarId X) {
   VarState &V = varState(X);
   ++Stats.RaceChecks;
   if (!V.W.leq(Threads[T]))
@@ -50,7 +50,7 @@ void DjitDetector::onRead(ThreadId T, VarId X, bool) {
   V.R.set(T, Threads[T].get(T));
 }
 
-void DjitDetector::onWrite(ThreadId T, VarId X, bool) {
+void DjitDetector::onWrite(ThreadId T, VarId X) {
   VarState &V = varState(X);
   ++Stats.RaceChecks;
   if (!V.R.leq(Threads[T]) || !V.W.leq(Threads[T]))

@@ -35,7 +35,7 @@ FastTrackDetector::VarState &FastTrackDetector::varState(VarId X) {
   return Vars[X];
 }
 
-void FastTrackDetector::onRead(ThreadId T, VarId X, bool) {
+void FastTrackDetector::onRead(ThreadId T, VarId X) {
   VarState &V = varState(X);
   Epoch E = epochOf(T);
   // Same-epoch fast path.
@@ -68,7 +68,7 @@ void FastTrackDetector::onRead(ThreadId T, VarId X, bool) {
   V.ReadShared = true;
 }
 
-void FastTrackDetector::onWrite(ThreadId T, VarId X, bool) {
+void FastTrackDetector::onWrite(ThreadId T, VarId X) {
   VarState &V = varState(X);
   Epoch E = epochOf(T);
   if (V.W == E)

@@ -9,10 +9,9 @@
 
 using namespace sampletrack;
 
-void SamplingDetectorBase::onRead(ThreadId T, VarId X, bool Sampled) {
-  // Unsampled accesses are skipped entirely (Algorithm 2, Line 9).
-  if (!Sampled)
-    return;
+void SamplingDetectorBase::onRead(ThreadId T, VarId X) {
+  // Only sampled accesses get here: batchDispatch skips the rest entirely
+  // (Algorithm 2, Line 9).
   Dirty[T] = true;
   if (Histories == HistoryKind::Epochs) {
     readWithEpochHistories(T, X);
@@ -25,9 +24,7 @@ void SamplingDetectorBase::onRead(ThreadId T, VarId X, bool Sampled) {
   V.R.set(T, Epochs[T]);
 }
 
-void SamplingDetectorBase::onWrite(ThreadId T, VarId X, bool Sampled) {
-  if (!Sampled)
-    return;
+void SamplingDetectorBase::onWrite(ThreadId T, VarId X) {
   Dirty[T] = true;
   if (Histories == HistoryKind::Epochs) {
     writeWithEpochHistories(T, X);

@@ -108,9 +108,7 @@ bool TreeClockDetector::dominates(ThreadId T, const VectorClock &C) const {
   return true;
 }
 
-void TreeClockDetector::onRead(ThreadId T, VarId X, bool Sampled) {
-  if (!Sampled)
-    return;
+void TreeClockDetector::onRead(ThreadId T, VarId X) {
   VarState &V = varState(X);
   ++Stats.RaceChecks;
   if (!dominates(T, V.W))
@@ -118,9 +116,7 @@ void TreeClockDetector::onRead(ThreadId T, VarId X, bool Sampled) {
   V.R.set(T, Threads[T].TC->get(T));
 }
 
-void TreeClockDetector::onWrite(ThreadId T, VarId X, bool Sampled) {
-  if (!Sampled)
-    return;
+void TreeClockDetector::onWrite(ThreadId T, VarId X) {
   VarState &V = varState(X);
   ++Stats.RaceChecks;
   if (!dominates(T, V.R) || !dominates(T, V.W))

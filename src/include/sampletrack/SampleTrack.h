@@ -8,16 +8,14 @@
 /// \file
 /// Convenience umbrella header exposing the whole public API:
 ///
-///  - api: AnalysisSession, the composable analysis pipeline (the preferred
-///    entry point — see README.md for a quickstart and the migration table
-///    from the older rapid/rt interfaces)
+///  - api: AnalysisSession, the composable analysis pipeline (the offline
+///    entry point — see README.md for a quickstart)
 ///  - support: VectorClock, OrderedList, TreeClock, RNG, tables
 ///  - trace: events, traces, text I/O, synthetic generators, the offline
 ///    benchmark suite
 ///  - sampling: the Sampler strategies
 ///  - detectors: Djit+/FastTrack and the paper's ST/SU/SO engines, plus the
 ///    reference oracle
-///  - rapid: the legacy offline engine (a thin wrapper over api)
 ///  - rt/workload: the online runtime and the OLTP workload simulator
 ///  - triage: the race warehouse (signature dedup, cross-run store,
 ///    ranked/SARIF/JSON export)
@@ -55,7 +53,6 @@
 #include "sampletrack/prof/ChromeTrace.h"
 #include "sampletrack/prof/Profiler.h"
 #include "sampletrack/prof/Report.h"
-#include "sampletrack/rapid/Engine.h"
 #include "sampletrack/runtime/Runtime.h"
 #include "sampletrack/sampling/Sampler.h"
 #include "sampletrack/support/FaultInjectionFs.h"

@@ -20,9 +20,9 @@
 /// \endcode
 ///
 /// Because every lane consumes the same per-event decision, K engines in
-/// one session see the identical sample set S that K standalone
-/// rapid::Engine runs with the same seed would see (appendix A.1), while
-/// the trace is read exactly once instead of K times. Ingestion is batched
+/// one session see the identical sample set S that K one-engine sessions
+/// with the same seed would see (appendix A.1), while the trace is read
+/// exactly once instead of K times. Ingestion is batched
 /// (\ref AnalysisSession::process over a span); the single-event overload
 /// remains as a compatibility shim for per-event producers.
 ///
@@ -143,8 +143,9 @@ public:
   AnalysisSession &configure(SessionConfig C);
   AnalysisSession &addEngine(EngineKind K);
   AnalysisSession &addEngines(std::span<const EngineKind> Kinds);
-  /// Adds a caller-owned detector lane (legacy interop: rapid::run routes
-  /// through this). The detector must outlive the run and is single-use.
+  /// Adds a caller-owned detector lane (for harnesses that inspect or
+  /// pre-configure a detector). The detector must outlive the run and is
+  /// single-use.
   AnalysisSession &addDetector(Detector &D);
   /// Replaces the config-made sampler with a caller-owned one (borrowed) or
   /// a session-owned one. Decisions are drawn once per access event and
@@ -199,29 +200,18 @@ public:
   std::unique_ptr<prof::Profiler> takeProfiler() { return std::move(Prof); }
 
 private:
-  /// One detector lane (one EngineRun): the detector and how to drive it.
+  /// One detector lane (one EngineRun), driven through D->processBatch.
   struct Lane {
     Detector *D = nullptr;
     /// Set for session-owned lanes; null for a borrowed (addDetector) one.
     std::unique_ptr<Detector> Owned;
     uint64_t Nanos = 0;
-    /// Differential-harness axis (SessionConfig::PerEventDispatch): route
-    /// this lane through the per-event reference loop instead of the
-    /// engine's devirtualized batch override.
-    bool PerEvent = false;
     /// Profiling (null when disabled): the driving thread's tree and this
     /// lane's session/analyze/<engine> node in it, assigned by whichever
     /// thread owns the lane (ingest thread in sequential mode, the owning
     /// worker in parallel mode).
     prof::Tree *PT = nullptr;
     prof::NodeId PNode = 0;
-
-    void feed(std::span<const Event> Events, std::span<const uint8_t> Ds) {
-      if (PerEvent)
-        D->processBatchGeneric(Events, Ds);
-      else
-        D->processBatch(Events, Ds);
-    }
   };
 
   /// The parallel lane engine (defined in AnalysisSession.cpp): a bounded

@@ -6,11 +6,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// One configuration record for the whole analysis pipeline. SessionConfig
-/// subsumes the knobs that used to be scattered across rapid::runEngine
-/// (rate/seed), rt::Config (clock size, shadow table geometry, recording)
-/// and bench/BenchCommon.h (engine sets), so an AnalysisSession, an online
-/// Runtime and a bench harness can all be driven from the same record.
+/// One configuration record for the analysis pipeline: engine set,
+/// sampling, ingestion and triage knobs, plus the ones an online Runtime
+/// shares with it (rate, seed, clock size, pooling, triage capacity,
+/// profiling), so an AnalysisSession, an online Runtime and a bench harness
+/// can all be driven from the same record. Knobs only the online runtime
+/// has (shadow table geometry, recording) stay on rt::Config.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,7 +36,7 @@ enum class SamplerKind : uint8_t {
   Never,     ///< Empty S; isolates streaming overhead.
   Bernoulli, ///< Independent coin per access at SamplingRate (the paper's
              ///< strategy). A rate >= 1.0 degrades to Always so runs stay
-             ///< deterministic, mirroring rapid::runEngine.
+             ///< deterministic.
   Periodic,  ///< Every SamplePeriod-th access (deterministic; tests).
   Marked,    ///< Replay the Marked bits carried by the trace.
 };
@@ -76,18 +77,13 @@ struct SessionConfig {
   /// fall back to MaxThreads.
   size_t NumThreads = 0;
 
-  // -- Hot-path toggles (differential-harness axes) ---------------------
+  // -- Hot-path toggle --------------------------------------------------
   /// Serve clock-snapshot buffers from the per-detector SnapshotPool (the
   /// zero-allocation copy-on-write path). Off = plain heap allocation per
   /// copy. Results are bit-identical either way; only Metrics::PoolHits
   /// (and allocator traffic) moves. Also forwarded to the online runtime
   /// via \ref runtimeConfig.
   bool PoolingEnabled = true;
-  /// Drive lanes through the generic per-event reference loop instead of
-  /// the engines' devirtualized processBatch overrides. Bit-identical and
-  /// slower; exists so the differential harness can prove the batch paths
-  /// equivalent.
-  bool PerEventDispatch = false;
 
   // -- Race triage (the warehouse workflow) -----------------------------
   /// Distinct-signature capacity of every lane's race sink (0 = the
@@ -104,14 +100,10 @@ struct SessionConfig {
   /// per line, '#' comments. Suppressed signatures never surface as new.
   std::string SuppressionFile;
 
-  // -- Online runtime shape (subsumes rt::Config) -----------------------
+  // -- Online runtime shape ---------------------------------------------
   /// Fixed vector-clock size for the online runtime, and the live-hook
   /// thread capacity when NumThreads is 0.
   size_t MaxThreads = 64;
-  size_t ShadowCells = 1 << 16;
-  size_t ShadowShards = 256;
-  /// Record online hooks as an offline trace for record/replay triage.
-  bool RecordTrace = false;
 
   // -- Self-profiling ---------------------------------------------------
   /// Build the hierarchical span profile (sampletrack/prof) while the
@@ -129,7 +121,8 @@ struct SessionConfig {
   std::unique_ptr<Sampler> makeSampler() const;
 
   /// Derives the rt::Runtime configuration for online mode \p M from the
-  /// shared knobs (rate, seed, clock size, shadow geometry, recording).
+  /// shared knobs (rate, seed, clock size, pooling, triage capacity,
+  /// profiling); the runtime-only fields keep rt::Config's defaults.
   rt::Config runtimeConfig(rt::Mode M) const;
 };
 

@@ -8,9 +8,10 @@
 /// \file
 /// The streaming race-detector interface shared by all engines (Djit+,
 /// FastTrack, and the three sampling engines ST/SU/SO). A detector consumes
-/// one event at a time; access events carry the sampling decision, realizing
-/// the adaptive "marked events" formulation of the Analysis Problem
-/// (Problem 1). Synchronization events are always processed.
+/// batches of events in trace order, each access paired with its sampling
+/// decision, realizing the adaptive "marked events" formulation of the
+/// Analysis Problem (Problem 1). Synchronization events are always
+/// processed.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -43,7 +44,7 @@ namespace sampletrack {
 /// Concurrency contract (the parallel-lane mode of api::AnalysisSession
 /// relies on it): a detector instance is lane-local — all mutable state,
 /// including the race buffer behind races()/racesTruncated(), belongs to
-/// whichever thread is currently driving processEvent/processBatch, and
+/// whichever thread is currently driving processBatch, and
 /// drivers must hand the instance off with a happens-before edge (a join,
 /// or a mutex as SessionHooks uses). Nothing here is synchronized; running
 /// K detectors on K threads is safe precisely because no two lanes share
@@ -57,9 +58,11 @@ public:
   /// Engine name as used in the paper ("FT", "ST", "SU", "SO", ...).
   virtual std::string name() const = 0;
 
-  /// \p Sampled is the sampling decision for this access (membership in S).
-  virtual void onRead(ThreadId T, VarId X, bool Sampled) = 0;
-  virtual void onWrite(ThreadId T, VarId X, bool Sampled) = 0;
+  /// Access handlers. Engines that ignore unsampled accesses only ever see
+  /// sampled ones (\ref batchDispatch skips the rest); full-analysis
+  /// engines see every access.
+  virtual void onRead(ThreadId T, VarId X) = 0;
+  virtual void onWrite(ThreadId T, VarId X) = 0;
 
   virtual void onAcquire(ThreadId T, SyncId L) = 0;
   virtual void onRelease(ThreadId T, SyncId L) = 0;
@@ -73,24 +76,12 @@ public:
   virtual void onReleaseJoin(ThreadId T, SyncId S) = 0;
   virtual void onAcquireLoad(ThreadId T, SyncId S) = 0;
 
-  /// Dispatches \p E to the right handler and advances the stream position.
-  /// \p Sampled is ignored for non-access events.
-  void processEvent(const Event &E, bool Sampled);
-
-  /// Batched ingestion: dispatches Events[I] with decision Sampled[I]
-  /// (nonzero = in S; only meaningful for access events). Bit-identical to
-  /// calling \ref processEvent once per element; every engine overrides it
-  /// with a devirtualized loop (\ref batchDispatch) that crosses the
-  /// virtual boundary once per batch instead of once per event.
+  /// Batched ingestion: dispatches Events[I] in order with decision
+  /// Sampled[I] (nonzero = in S; only meaningful for access events). Every
+  /// engine implements it as a call to \ref batchDispatch, which crosses
+  /// the virtual boundary once per batch instead of once per event.
   virtual void processBatch(std::span<const Event> Events,
-                            std::span<const uint8_t> Sampled);
-
-  /// The per-event reference loop (what \ref processBatch does on a plain
-  /// Detector). Kept separately callable so harnesses can differential-test
-  /// an engine's batch override against it (SessionConfig::PerEventDispatch
-  /// routes lanes here).
-  void processBatchGeneric(std::span<const Event> Events,
-                           std::span<const uint8_t> Sampled);
+                            std::span<const uint8_t> Sampled) = 0;
 
   /// Routes snapshot buffers through (or around) the engine's SnapshotPool.
   /// Engines without pooled state ignore it. Call before the first event;
@@ -148,18 +139,16 @@ public:
   uint64_t position() const { return Position; }
 
 protected:
-  /// The devirtualized batch loop behind every engine's processBatch
-  /// override: one lane-guard entry and one bulk stats update per batch,
-  /// a direct switch on OpKind per event, and — when \p SkipUnsampled is
-  /// set (engines whose access handlers no-op on unsampled events, i.e.
-  /// the sampling engines and the tree-clock ablation) — an early fast
-  /// path that skips the handler call entirely for the ~99%+ of accesses
-  /// outside S. Handler calls are explicitly qualified with \p Concrete,
-  /// the most-derived type, so they compile to direct (inlinable) calls;
-  /// the virtual boundary is crossed once per batch by the processBatch
-  /// override itself. Bit-identical to processEvent per element: the
-  /// stream position still advances per event (declareRace records it),
-  /// and the bulk counter updates commute.
+  /// The dispatch loop behind every engine's processBatch override: one
+  /// lane-guard entry and one bulk stats update per batch, a direct switch
+  /// on OpKind per event, and — when \p SkipUnsampled is set (the sampling
+  /// engines and the tree-clock ablation, which analyze only accesses in
+  /// S) — no handler call at all for the ~99%+ of accesses outside S.
+  /// Handler calls are explicitly qualified with \p Concrete, the
+  /// most-derived type, so they compile to direct (inlinable) calls; the
+  /// virtual boundary is crossed once per batch by the processBatch
+  /// override itself. The stream position advances per event
+  /// (declareRace records it).
   template <bool SkipUnsampled, typename Concrete>
   static void batchDispatch(Concrete &Self, std::span<const Event> Events,
                             std::span<const uint8_t> Sampled) {
@@ -179,9 +168,9 @@ protected:
         if (SkipUnsampled && !IsSampled)
           break;
         if (E.Kind == OpKind::Read)
-          Self.Concrete::onRead(E.Tid, E.var(), IsSampled);
+          Self.Concrete::onRead(E.Tid, E.var());
         else
-          Self.Concrete::onWrite(E.Tid, E.var(), IsSampled);
+          Self.Concrete::onWrite(E.Tid, E.var());
         break;
       }
       case OpKind::Acquire:
@@ -231,7 +220,7 @@ private:
   triage::RaceSink Sink;
   std::unordered_set<VarId> RacyLocations;
 
-  /// Lane-affinity guard: set while a thread is inside processEvent. Two
+  /// Lane-affinity guard: set while a thread is inside processBatch. Two
   /// overlapping drivers mean two lanes share one detector — the exact bug
   /// class parallel sessions must never exhibit. The member is present in
   /// every build (so the class layout never depends on NDEBUG); only the

@@ -54,8 +54,8 @@ public:
     Dirty.assign(NumThreads, false);
   }
 
-  void onRead(ThreadId T, VarId X, bool Sampled) final;
-  void onWrite(ThreadId T, VarId X, bool Sampled) final;
+  void onRead(ThreadId T, VarId X) final;
+  void onWrite(ThreadId T, VarId X) final;
 
   HistoryKind historyKind() const { return Histories; }
 

@@ -42,8 +42,8 @@ public:
 
   std::string name() const override { return "TC"; }
 
-  void onRead(ThreadId T, VarId X, bool Sampled) override;
-  void onWrite(ThreadId T, VarId X, bool Sampled) override;
+  void onRead(ThreadId T, VarId X) override;
+  void onWrite(ThreadId T, VarId X) override;
   void onAcquire(ThreadId T, SyncId L) override;
   void onRelease(ThreadId T, SyncId L) override;
   void onFork(ThreadId Parent, ThreadId Child) override;

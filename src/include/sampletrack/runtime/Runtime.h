@@ -136,13 +136,17 @@ public:
 
   /// Registers the calling thread; returns its dense id. Must be called
   /// before any other hook from that thread. Thread 0 is pre-registered as
-  /// the "main" thread.
+  /// the "main" thread. Returns NoThread once MaxThreads ids are taken.
   ThreadId registerThread();
 
-  /// Creates a new sync object (lock/atomic) id.
+  /// Creates a new sync object (lock/atomic) id, or returns NoSync once
+  /// the runtime's fixed sync table is full.
   SyncId registerSync();
 
   // -- Instrumentation hooks -------------------------------------------
+  /// A hook naming a thread id >= MaxThreads (NoThread included, and a
+  /// fork/join child too) or a sync id past the sync table (NoSync
+  /// included) is dropped: it is neither analyzed nor recorded.
   void onRead(ThreadId T, uint64_t Addr);
   void onWrite(ThreadId T, uint64_t Addr);
   void onAcquire(ThreadId T, SyncId L);

@@ -28,6 +28,8 @@
 
 namespace sampletrack {
 
+class Trace;
+
 /// Decides, on the fly, whether an access event belongs to the sample set S.
 ///
 /// The decision may be consulted exactly once per event, in trace order;
@@ -128,6 +130,12 @@ public:
   bool shouldSample(const Event &E) override { return E.Marked; }
   std::string name() const override { return "marked"; }
 };
+
+/// Pre-marks \p T for \ref MarkedSampler: draws every access's sampling
+/// decision from a Bernoulli sampler at \p Rate and \p Seed (Rate >= 1.0
+/// marks every access) and stores it in the Marked bit. Engines replaying
+/// the result through a MarkedSampler see identical sample sets.
+void markTrace(Trace &T, double Rate, uint64_t Seed);
 
 } // namespace sampletrack
 

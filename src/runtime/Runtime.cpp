@@ -63,6 +63,18 @@ Config normalized(Config C) {
   return C;
 }
 
+/// Claims the next dense id below \p Limit from \p Next into \p Id. Fails
+/// once the ids are exhausted; the counter then stays at \p Limit, so it
+/// never wraps around to hand out an id twice.
+bool claimId(std::atomic<uint32_t> &Next, size_t Limit, uint32_t &Id) {
+  Id = Next.load(std::memory_order_relaxed);
+  do {
+    if (Id >= Limit)
+      return false;
+  } while (!Next.compare_exchange_weak(Id, Id + 1, std::memory_order_relaxed));
+  return true;
+}
+
 } // namespace
 
 /// Per-thread analysis state. Owned by its thread: only the owner mutates
@@ -223,8 +235,9 @@ Runtime::Runtime(const Config &C)
 Runtime::~Runtime() = default;
 
 ThreadId Runtime::registerThread() {
-  uint32_t T = I->NextThread.fetch_add(1, std::memory_order_relaxed);
-  assert(T < Cfg.MaxThreads && "thread limit exceeded; raise MaxThreads");
+  uint32_t T = 0;
+  if (!claimId(I->NextThread, Cfg.MaxThreads, T))
+    return NoThread;
   ThreadState &TS = I->Threads[T];
   TS.Registered = true;
   size_t NT = Cfg.MaxThreads;
@@ -273,9 +286,8 @@ ThreadId Runtime::registerThread() {
 }
 
 SyncId Runtime::registerSync() {
-  uint32_t S = I->NextSync.fetch_add(1, std::memory_order_relaxed);
-  assert(S < Impl::MaxSyncs && "sync limit exceeded");
-  return S;
+  uint32_t S = 0;
+  return claimId(I->NextSync, Impl::MaxSyncs, S) ? S : NoSync;
 }
 
 uint64_t Runtime::raceCount() const {
@@ -510,6 +522,8 @@ unsigned Runtime::soJoinList(ThreadId T, const OrderedList &Src, size_t K,
 //===----------------------------------------------------------------------===//
 
 void Runtime::onRead(ThreadId T, uint64_t Addr) {
+  if (T >= Cfg.MaxThreads)
+    return;
   ThreadState &TS = I->Threads[T];
   if (Cfg.AnalysisMode == Mode::NT)
     return;
@@ -576,6 +590,8 @@ void Runtime::onRead(ThreadId T, uint64_t Addr) {
 }
 
 void Runtime::onWrite(ThreadId T, uint64_t Addr) {
+  if (T >= Cfg.MaxThreads)
+    return;
   ThreadState &TS = I->Threads[T];
   if (Cfg.AnalysisMode == Mode::NT)
     return;
@@ -641,6 +657,8 @@ void Runtime::onWrite(ThreadId T, uint64_t Addr) {
 //===----------------------------------------------------------------------===//
 
 void Runtime::onAcquire(ThreadId T, SyncId L) {
+  if (T >= Cfg.MaxThreads || L >= Impl::MaxSyncs)
+    return;
   ThreadState &TS = I->Threads[T];
   if (Cfg.AnalysisMode == Mode::NT)
     return;
@@ -753,6 +771,8 @@ void Runtime::onAcquire(ThreadId T, SyncId L) {
 }
 
 void Runtime::onRelease(ThreadId T, SyncId L) {
+  if (T >= Cfg.MaxThreads || L >= Impl::MaxSyncs)
+    return;
   ThreadState &TS = I->Threads[T];
   if (Cfg.AnalysisMode == Mode::NT)
     return;
@@ -839,6 +859,8 @@ void Runtime::onRelease(ThreadId T, SyncId L) {
 }
 
 void Runtime::onFork(ThreadId Parent, ThreadId Child) {
+  if (Parent >= Cfg.MaxThreads || Child >= Cfg.MaxThreads)
+    return;
   // The child is not running yet: direct access to both states is safe.
   if (Cfg.RecordTrace && Cfg.AnalysisMode != Mode::NT)
     record(Event(Parent, OpKind::Fork, Child));
@@ -891,6 +913,8 @@ void Runtime::onFork(ThreadId Parent, ThreadId Child) {
 }
 
 void Runtime::onJoin(ThreadId Parent, ThreadId Child) {
+  if (Parent >= Cfg.MaxThreads || Child >= Cfg.MaxThreads)
+    return;
   // The child has been pthread-joined: direct access is safe.
   if (Cfg.RecordTrace && Cfg.AnalysisMode != Mode::NT)
     record(Event(Parent, OpKind::Join, Child));
@@ -948,6 +972,8 @@ void Runtime::onJoin(ThreadId Parent, ThreadId Child) {
 //===----------------------------------------------------------------------===//
 
 void Runtime::onReleaseStore(ThreadId T, SyncId Sid) {
+  if (T >= Cfg.MaxThreads || Sid >= Impl::MaxSyncs)
+    return;
   ThreadState &TS = I->Threads[T];
   if (Cfg.AnalysisMode == Mode::NT)
     return;
@@ -1042,6 +1068,8 @@ void Runtime::onReleaseStore(ThreadId T, SyncId Sid) {
 }
 
 void Runtime::onReleaseJoin(ThreadId T, SyncId Sid) {
+  if (T >= Cfg.MaxThreads || Sid >= Impl::MaxSyncs)
+    return;
   ThreadState &TS = I->Threads[T];
   if (Cfg.AnalysisMode == Mode::NT)
     return;

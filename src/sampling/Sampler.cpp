@@ -7,6 +7,7 @@
 
 #include "sampletrack/sampling/Sampler.h"
 #include "sampletrack/sampling/PeriodSamplers.h"
+#include "sampletrack/trace/Trace.h"
 
 #include <cstdio>
 
@@ -30,4 +31,13 @@ std::string ColdRegionSampler::name() const {
   std::snprintf(Buf, sizeof(Buf), "coldregion(backoff %llu)",
                 static_cast<unsigned long long>(Backoff));
   return Buf;
+}
+
+void sampletrack::markTrace(Trace &T, double Rate, uint64_t Seed) {
+  BernoulliSampler S(Rate, Seed);
+  for (size_t I = 0; I < T.size(); ++I) {
+    Event &E = T[I];
+    if (isAccess(E.Kind))
+      E.Marked = Rate >= 1.0 ? true : S.shouldSample(E);
+  }
 }

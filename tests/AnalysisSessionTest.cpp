@@ -5,16 +5,16 @@
 //
 // The engine-equivalence golden tests: a K-engine AnalysisSession fan-out
 // over a single trace traversal must be bit-identical — metrics, race
-// lists, sample sets — to K independent legacy rapid::Engine runs with the
-// same sampler seed. Plus coverage for the batched/shim ingestion paths,
-// streamed sources, live hooks, truncation surfacing and the reporters.
+// lists, sample sets — to K one-lane sessions, each with its own detector
+// and a fresh sampler on the same seed. Plus coverage for the batched/shim
+// ingestion paths, streamed sources, live hooks, truncation surfacing and
+// the reporters.
 //
 //===----------------------------------------------------------------------===//
 
 #include "sampletrack/api/AnalysisSession.h"
 
 #include "sampletrack/api/Report.h"
-#include "sampletrack/rapid/Engine.h"
 #include "sampletrack/trace/SuiteGen.h"
 #include "sampletrack/trace/TraceGen.h"
 #include "sampletrack/trace/TraceIO.h"
@@ -34,19 +34,20 @@ const EngineKind FanOutKinds[] = {
     EngineKind::Djit, EngineKind::FastTrack, EngineKind::SamplingNaive,
     EngineKind::SamplingU, EngineKind::SamplingO};
 
-/// Runs kind \p K standalone the legacy way (fresh detector, fresh
-/// Bernoulli stream) and returns (result, race list).
-std::pair<rapid::RunResult, std::vector<RaceReport>>
-legacyRun(const Trace &T, EngineKind K, double Rate, uint64_t Seed) {
+/// Runs kind \p K alone: a one-lane session over a borrowed detector and a
+/// fresh Bernoulli stream. Returns (result, race list).
+std::pair<api::EngineRun, std::vector<RaceReport>>
+oneLaneRun(const Trace &T, EngineKind K, double Rate, uint64_t Seed) {
   std::unique_ptr<Detector> D = createDetector(K, T.numThreads());
   BernoulliSampler S(Rate, Seed);
-  rapid::RunResult R = rapid::run(T, *D, S);
-  return {R, D->races()};
+  api::SessionResult R =
+      api::AnalysisSession().addDetector(*D).withSampler(S).run(T);
+  return {R.Engines.front(), D->races()};
 }
 
 } // namespace
 
-TEST(AnalysisSession, FanOutMatchesLegacyEngineRunsBitForBit) {
+TEST(AnalysisSession, FanOutMatchesOneLaneSessionsBitForBit) {
   Trace T = goldenTrace();
   const double Rate = 0.03;
   const uint64_t Seed = 7;
@@ -63,18 +64,24 @@ TEST(AnalysisSession, FanOutMatchesLegacyEngineRunsBitForBit) {
 
   for (size_t I = 0; I < std::size(FanOutKinds); ++I) {
     SCOPED_TRACE(engineKindName(FanOutKinds[I]));
-    auto [Legacy, LegacyRaces] = legacyRun(T, FanOutKinds[I], Rate, Seed);
+    auto [Alone, AloneRaces] = oneLaneRun(T, FanOutKinds[I], Rate, Seed);
     const api::EngineRun &Lane = Fan.Engines[I];
 
-    EXPECT_EQ(Lane.Engine, Legacy.Engine);
+    EXPECT_EQ(Lane.Engine, Alone.Engine);
     // Bit-identical sample set: every lane shares one decision stream that
     // equals what a standalone Bernoulli sampler with the same seed draws.
-    EXPECT_EQ(Lane.SampleSize, Legacy.SampleSize);
-    EXPECT_EQ(Lane.Stats, Legacy.Stats);
-    EXPECT_EQ(Lane.NumRaces, Legacy.NumRaces);
-    EXPECT_EQ(Lane.NumRacyLocations, Legacy.NumRacyLocations);
-    EXPECT_EQ(Lane.Races, LegacyRaces);
-    EXPECT_EQ(Lane.RacesTruncated, Legacy.RacesTruncated);
+    EXPECT_EQ(Lane.SampleSize, Alone.SampleSize);
+    EXPECT_EQ(Lane.Stats, Alone.Stats);
+    EXPECT_EQ(Lane.NumRaces, Alone.NumRaces);
+    EXPECT_EQ(Lane.NumRacyLocations, Alone.NumRacyLocations);
+    EXPECT_EQ(Lane.Races, AloneRaces);
+    EXPECT_EQ(Lane.RacesTruncated, Alone.RacesTruncated);
+    // Each lane's own counters agree with the session-level fields.
+    EXPECT_EQ(Lane.Stats.Events, T.size());
+    EXPECT_EQ(Lane.Stats.SampledAccesses, Lane.SampleSize);
+    EXPECT_EQ(Lane.NumRaces, Lane.Stats.RacesDeclared);
+    EXPECT_LE(Lane.NumRacyLocations, Lane.NumRaces);
+    EXPECT_GT(Lane.WallNanos, 0u);
   }
 
   // The fan-out actually found work to disagree about: the full engines
@@ -84,7 +91,7 @@ TEST(AnalysisSession, FanOutMatchesLegacyEngineRunsBitForBit) {
 
 TEST(AnalysisSession, StreamedBinarySourceIsReadOnceAndMatchesInMemory) {
   Trace T = goldenTrace();
-  rapid::markTrace(T, 0.05, 11);
+  markTrace(T, 0.05, 11);
 
   api::SessionConfig Cfg;
   Cfg.Engines = {EngineKind::SamplingNaive, EngineKind::SamplingU,
@@ -114,7 +121,7 @@ TEST(AnalysisSession, StreamedBinarySourceIsReadOnceAndMatchesInMemory) {
 
 TEST(AnalysisSession, BatchedIngestionEqualsPerEventShim) {
   Trace T = goldenTrace();
-  rapid::markTrace(T, 0.1, 5);
+  markTrace(T, 0.1, 5);
 
   api::SessionConfig Cfg;
   Cfg.Engines = {EngineKind::SamplingO};
@@ -303,15 +310,21 @@ TEST(AnalysisSession, RaceSinkTruncationIsSurfaced) {
   EXPECT_NE(api::toCsv(R).find(",1,"), std::string::npos);
 
   // An uncapped run over the same trace: everything distinct, no
-  // truncation, and the legacy wrapper agrees.
+  // truncation, and a Bernoulli session at full rate agrees. A rate >= 1.0
+  // runs the "always" sampler, so every access is in S.
   Cfg.TriageCapacity = 0;
   api::SessionResult Full = api::AnalysisSession(Cfg).run(T);
   EXPECT_EQ(Full.Engines.front().DistinctRaces, NumVars);
   EXPECT_FALSE(Full.Engines.front().RacesTruncated);
-  rapid::RunResult Legacy = rapid::runEngine(T, EngineKind::FastTrack,
-                                             /*Rate=*/1.0, /*Seed=*/0);
-  EXPECT_FALSE(Legacy.RacesTruncated);
-  EXPECT_EQ(Legacy.DistinctRaces, NumVars);
+  api::SessionConfig Bern = Cfg;
+  Bern.Sampling = api::SamplerKind::Bernoulli;
+  Bern.SamplingRate = 1.0;
+  api::SessionResult AtFullRate = api::AnalysisSession(Bern).run(T);
+  const api::EngineRun &FullRate = AtFullRate.Engines.front();
+  EXPECT_EQ(FullRate.SamplerName, "always");
+  EXPECT_EQ(FullRate.SampleSize, 2 * NumVars);
+  EXPECT_FALSE(FullRate.RacesTruncated);
+  EXPECT_EQ(FullRate.DistinctRaces, NumVars);
 
   // And stays off when nothing was dropped.
   api::SessionResult Small = api::AnalysisSession(Cfg).run(goldenTrace());

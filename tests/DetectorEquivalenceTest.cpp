@@ -15,9 +15,9 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "sampletrack/api/AnalysisSession.h"
 #include "sampletrack/detectors/DetectorFactory.h"
 #include "sampletrack/detectors/HBClosureOracle.h"
-#include "sampletrack/rapid/Engine.h"
 #include "sampletrack/trace/TraceGen.h"
 
 #include <gtest/gtest.h>
@@ -31,7 +31,7 @@ namespace {
 std::vector<size_t> declaredEvents(const Trace &T, EngineKind K) {
   std::unique_ptr<Detector> D = createDetector(K, T.numThreads());
   MarkedSampler S;
-  rapid::run(T, *D, S);
+  api::AnalysisSession().addDetector(*D).withSampler(S).run(T);
   std::vector<size_t> Out;
   for (const RaceReport &R : D->races())
     Out.push_back(R.EventIndex);
@@ -70,7 +70,7 @@ TEST_P(EquivalenceSweep, SamplingEnginesAgreeEventwise) {
   SweepParam P = GetParam();
   Trace T = mixedTrace(P.Seed);
   ASSERT_TRUE(T.validate());
-  rapid::markTrace(T, P.Rate, P.Seed * 7919 + 13);
+  markTrace(T, P.Rate, P.Seed * 7919 + 13);
 
   std::vector<size_t> ST = declaredEvents(T, EngineKind::SamplingNaive);
   std::vector<size_t> SU = declaredEvents(T, EngineKind::SamplingU);
@@ -90,7 +90,7 @@ TEST_P(EquivalenceSweep, SamplingEnginesAgreeEventwise) {
 TEST_P(EquivalenceSweep, SamplingEnginesMatchOracle) {
   SweepParam P = GetParam();
   Trace T = mixedTrace(P.Seed);
-  rapid::markTrace(T, P.Rate, P.Seed * 104729 + 7);
+  markTrace(T, P.Rate, P.Seed * 104729 + 7);
 
   HBClosureOracle Oracle(T);
   // The detectors warehouse duplicates (first declaration per signature),
@@ -141,15 +141,15 @@ TEST_P(FullDetectionSweep, FastTrackFindsSameRacyLocationsAsDjit) {
   std::unique_ptr<Detector> FT = createDetector(EngineKind::FastTrack,
                                                 T.numThreads());
   AlwaysSampler S;
-  rapid::run(T, *Djit, S);
+  api::AnalysisSession().addDetector(*Djit).withSampler(S).run(T);
   AlwaysSampler S2;
-  rapid::run(T, *FT, S2);
+  api::AnalysisSession().addDetector(*FT).withSampler(S2).run(T);
   EXPECT_EQ(Djit->racyLocations(), FT->racyLocations());
 }
 
 TEST_P(FullDetectionSweep, SamplingAt100PercentMatchesDjitVerdicts) {
   Trace T = mixedTrace(GetParam());
-  rapid::markTrace(T, 1.0, 0);
+  markTrace(T, 1.0, 0);
   std::vector<size_t> Djit = declaredEvents(T, EngineKind::Djit);
   EXPECT_EQ(Djit, declaredEvents(T, EngineKind::SamplingNaive));
   EXPECT_EQ(Djit, declaredEvents(T, EngineKind::SamplingO));
@@ -167,7 +167,7 @@ TEST_P(FullDetectionSweep, RacyLocationsCoverAllRacyPairs) {
   std::unique_ptr<Detector> D = createDetector(EngineKind::Djit,
                                                T.numThreads());
   AlwaysSampler S;
-  rapid::run(T, *D, S);
+  api::AnalysisSession().addDetector(*D).withSampler(S).run(T);
   EXPECT_EQ(PairLocations, D->racyLocations());
 }
 
@@ -204,7 +204,7 @@ TEST(StructuredTraces, SamplingEnginesAgreeAndMatchOracle) {
     for (Trace &T : structuredTraces(Seed)) {
       ASSERT_TRUE(T.validate()) << "trace " << Idx;
       for (double Rate : {0.05, 0.5, 1.0}) {
-        rapid::markTrace(T, Rate, Seed + Idx * 31);
+        markTrace(T, Rate, Seed + Idx * 31);
         HBClosureOracle Oracle(T);
         std::vector<size_t> Expected =
             Oracle.declaredRaces(/*MarkedOnly=*/true);
@@ -235,7 +235,7 @@ TEST(StructuredTraces, WellSynchronizedTracesAreRaceFree) {
   // synchronized by construction: no engine may report a race.
   for (uint64_t Seed : {1u, 2u, 3u, 4u}) {
     for (Trace &T : structuredTraces(Seed)) {
-      rapid::markTrace(T, 1.0, Seed);
+      markTrace(T, 1.0, Seed);
       EXPECT_TRUE(declaredEvents(T, EngineKind::Djit).empty());
       EXPECT_TRUE(declaredEvents(T, EngineKind::SamplingO).empty());
     }
@@ -245,7 +245,7 @@ TEST(StructuredTraces, WellSynchronizedTracesAreRaceFree) {
 TEST(TreeClockEngine, MatchesSamplingVerdictsOnMutexTraces) {
   for (uint64_t Seed = 1; Seed <= 6; ++Seed) {
     Trace T = mixedTrace(Seed);
-    rapid::markTrace(T, 0.2, Seed);
+    markTrace(T, 0.2, Seed);
     std::vector<size_t> SO = declaredEvents(T, EngineKind::SamplingO);
     std::vector<size_t> TC = declaredEvents(T, EngineKind::TreeClockFull);
     EXPECT_EQ(SO, TC) << "seed " << Seed;

@@ -24,7 +24,6 @@
 #include "sampletrack/detectors/DetectorFactory.h"
 #include "sampletrack/detectors/HBClosureOracle.h"
 #include "sampletrack/explore/Scheduler.h"
-#include "sampletrack/rapid/Engine.h"
 #include "sampletrack/sampling/PeriodSamplers.h"
 #include "sampletrack/support/simd/ClockKernels.h"
 #include "sampletrack/trace/TraceGen.h"
@@ -149,7 +148,7 @@ api::SessionResult stripPoolHits(api::SessionResult R) {
 std::vector<size_t> declared(const Trace &T, EngineKind K) {
   std::unique_ptr<Detector> D = createDetector(K, T.numThreads());
   MarkedSampler S;
-  rapid::run(T, *D, S);
+  api::AnalysisSession().addDetector(*D).withSampler(S).run(T);
   std::vector<size_t> Out;
   for (const RaceReport &R : D->races())
     Out.push_back(R.EventIndex);
@@ -161,7 +160,7 @@ std::vector<size_t> declared(const Trace &T, EngineKind K) {
 triage::TriageSummary declaredSummary(const Trace &T, EngineKind K) {
   std::unique_ptr<Detector> D = createDetector(K, T.numThreads());
   MarkedSampler S;
-  rapid::run(T, *D, S);
+  api::AnalysisSession().addDetector(*D).withSampler(S).run(T);
   return D->raceSink().summary();
 }
 
@@ -225,14 +224,14 @@ TEST(DifferentialFuzz, FullEnginesMatchOracleOnRandomCases) {
 //===----------------------------------------------------------------------===//
 
 //===----------------------------------------------------------------------===//
-// Hot-path axes: the pooled copy-on-write allocator and the devirtualized
-// batch dispatch must be invisible — every engine, at every sampling rate,
-// batch geometry and worker count, must produce the result of the
-// unpooled per-event reference path, bit-for-bit (modulo timing and
-// PoolHits, the free-list-vs-allocator counter).
+// Hot-path axes: the pooled copy-on-write allocator and the parallel lane
+// workers must be invisible — every engine, at every sampling rate, batch
+// geometry and worker count, must produce the result of the sequential
+// unpooled reference session, bit-for-bit (modulo timing and PoolHits,
+// the free-list-vs-allocator counter).
 //===----------------------------------------------------------------------===//
 
-TEST(DifferentialFuzz, PooledAndBatchedPathsMatchPerEventUnpooled) {
+TEST(DifferentialFuzz, PooledAndParallelPathsMatchSequentialUnpooled) {
   SplitMix64 Rng(31415926535ull);
   const std::vector<EngineKind> Kinds = allEngineKinds();
   const double Rates[] = {0.003, 0.03, 1.0};
@@ -249,34 +248,25 @@ TEST(DifferentialFuzz, PooledAndBatchedPathsMatchPerEventUnpooled) {
     Base.Seed = Rng.next();
     Base.BatchSize = 1 + Rng.nextBelow(300);
 
-    // Reference: sequential, per-event dispatch, pooling off.
+    // Reference: sequential, pooling off.
     api::SessionConfig RefCfg = Base;
-    RefCfg.PerEventDispatch = true;
     RefCfg.PoolingEnabled = false;
     api::SessionResult Ref =
         stripPoolHits(api::stripTiming(api::AnalysisSession(RefCfg).run(T)));
     ASSERT_EQ(Ref.Engines.size(), Kinds.size()) << "case " << Case;
 
     for (size_t W : WorkerAxis) {
-      const struct {
-        bool Pooling, PerEvent;
-        const char *Name;
-      } Variants[] = {
-          {true, false, "pooled+batched"},   // The production hot path.
-          {true, true, "pooled+per-event"},  // Isolates the pool.
-          {false, false, "unpooled+batched"} // Isolates batch dispatch.
-      };
-      for (const auto &V : Variants) {
+      for (bool Pooling : {true, false}) {
+        const char *Name = Pooling ? "pooled" : "unpooled";
         api::SessionConfig Cfg = Base;
-        Cfg.PoolingEnabled = V.Pooling;
-        Cfg.PerEventDispatch = V.PerEvent;
+        Cfg.PoolingEnabled = Pooling;
         Cfg.NumWorkers = W;
         api::SessionResult R = stripPoolHits(
             api::stripTiming(api::AnalysisSession(Cfg).run(T)));
         // Lane-by-lane first (readable failures), then the whole result.
         ASSERT_EQ(R.Engines.size(), Ref.Engines.size());
         for (size_t I = 0; I < R.Engines.size(); ++I) {
-          SCOPED_TRACE(std::string(V.Name) + ", workers=" +
+          SCOPED_TRACE(std::string(Name) + ", workers=" +
                        std::to_string(W) + ", " +
                        std::string(engineKindName(Kinds[I])) + ", case " +
                        std::to_string(Case));
@@ -286,21 +276,20 @@ TEST(DifferentialFuzz, PooledAndBatchedPathsMatchPerEventUnpooled) {
                     Ref.Engines[I].RacesTruncated);
         }
         // The triage axis: the deduplicated signature set (and its hit
-        // counts) must be bit-identical across every worker count,
-        // pooling mode and dispatch path — the warehouse's stability
-        // contract.
+        // counts) must be bit-identical across every worker count and
+        // pooling mode — the warehouse's stability contract.
         ASSERT_EQ(R.Triage.Entries.size(), Ref.Triage.Entries.size())
-            << V.Name << ", workers=" << W << ", case " << Case;
+            << Name << ", workers=" << W << ", case " << Case;
         for (size_t I = 0; I < R.Triage.Entries.size(); ++I)
           EXPECT_TRUE(R.Triage.Entries[I] == Ref.Triage.Entries[I])
-              << V.Name << ", workers=" << W << ", case " << Case
+              << Name << ", workers=" << W << ", case " << Case
               << ": triage entry " << I
               << " diverged (signature "
               << triage::RaceSignature{R.Triage.Entries[I].Signature}.hex()
               << " vs "
               << triage::RaceSignature{Ref.Triage.Entries[I].Signature}.hex()
               << ")";
-        EXPECT_TRUE(R == Ref) << V.Name << ", workers=" << W
+        EXPECT_TRUE(R == Ref) << Name << ", workers=" << W
                               << ", case " << Case;
       }
     }
@@ -309,7 +298,7 @@ TEST(DifferentialFuzz, PooledAndBatchedPathsMatchPerEventUnpooled) {
 
 //===----------------------------------------------------------------------===//
 // The schedule axis: every interleaving the explorer emits is just a trace,
-// so the whole hot-path matrix (pooling x dispatch x workers) must stay
+// so the whole hot-path matrix (pooling x workers) must stay
 // bit-identical on *re-scheduled* executions too, not only on the original
 // interleavings the generators produce.
 //===----------------------------------------------------------------------===//
@@ -347,7 +336,6 @@ TEST(DifferentialFuzz, ExploredSchedulesReplayBitIdenticalAcrossHotPathAxes) {
       Base.BatchSize = 1 + Rng.nextBelow(300);
 
       api::SessionConfig RefCfg = Base;
-      RefCfg.PerEventDispatch = true;
       RefCfg.PoolingEnabled = false;
       api::SessionResult Ref = stripPoolHits(
           api::stripTiming(api::AnalysisSession(RefCfg).run(T)));
@@ -356,7 +344,6 @@ TEST(DifferentialFuzz, ExploredSchedulesReplayBitIdenticalAcrossHotPathAxes) {
         for (bool Pooling : {true, false}) {
           api::SessionConfig Cfg = Base;
           Cfg.PoolingEnabled = Pooling;
-          Cfg.PerEventDispatch = false; // The production batch path.
           Cfg.NumWorkers = Workers;
           api::SessionResult R = stripPoolHits(
               api::stripTiming(api::AnalysisSession(Cfg).run(T)));
@@ -442,24 +429,27 @@ TEST(DifferentialFuzz, SessionFanOutMatchesStandaloneRunsLaneByLane) {
     for (size_t I = 0; I < Kinds.size(); ++I) {
       SCOPED_TRACE(std::string(engineKindName(Kinds[I])) + ", case " +
                    std::to_string(Case));
-      // Standalone reference: fresh detector, fresh decision stream from
-      // the same seed (rate >= 1 degrades to always, as the session does).
+      // Standalone reference: a one-lane session over a fresh detector and
+      // a fresh decision stream from the same seed (rate >= 1 degrades to
+      // always, as the session does).
       std::unique_ptr<Detector> D = createDetector(Kinds[I], T.numThreads());
       std::unique_ptr<Sampler> S;
       if (Rate >= 1.0)
         S = std::make_unique<AlwaysSampler>();
       else
         S = std::make_unique<BernoulliSampler>(Rate, Seed);
-      rapid::RunResult Legacy = rapid::run(T, *D, *S);
+      api::SessionResult R =
+          api::AnalysisSession().addDetector(*D).withSampler(*S).run(T);
+      const api::EngineRun &Alone = R.Engines.front();
 
       const api::EngineRun &Lane = Fan.Engines[I];
-      EXPECT_EQ(Lane.Engine, Legacy.Engine);
-      EXPECT_EQ(Lane.SampleSize, Legacy.SampleSize);
-      EXPECT_EQ(Lane.Stats, Legacy.Stats);
-      EXPECT_EQ(Lane.NumRaces, Legacy.NumRaces);
-      EXPECT_EQ(Lane.NumRacyLocations, Legacy.NumRacyLocations);
+      EXPECT_EQ(Lane.Engine, Alone.Engine);
+      EXPECT_EQ(Lane.SampleSize, Alone.SampleSize);
+      EXPECT_EQ(Lane.Stats, Alone.Stats);
+      EXPECT_EQ(Lane.NumRaces, Alone.NumRaces);
+      EXPECT_EQ(Lane.NumRacyLocations, Alone.NumRacyLocations);
       EXPECT_EQ(Lane.Races, D->races());
-      EXPECT_EQ(Lane.RacesTruncated, Legacy.RacesTruncated);
+      EXPECT_EQ(Lane.RacesTruncated, Alone.RacesTruncated);
     }
   }
 }

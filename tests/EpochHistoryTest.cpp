@@ -16,11 +16,11 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "sampletrack/api/AnalysisSession.h"
 #include "sampletrack/detectors/HBClosureOracle.h"
 #include "sampletrack/detectors/SamplingNaiveDetector.h"
 #include "sampletrack/detectors/SamplingOrderedListDetector.h"
 #include "sampletrack/detectors/SamplingUClockDetector.h"
-#include "sampletrack/rapid/Engine.h"
 #include "sampletrack/trace/TraceGen.h"
 
 #include <gtest/gtest.h>
@@ -41,7 +41,7 @@ Trace racyTrace(uint64_t Seed, double Rate) {
   C.RacyVars = 4;
   C.Seed = Seed;
   Trace T = generateWorkload(C);
-  rapid::markTrace(T, Rate, Seed * 17 + 3);
+  markTrace(T, Rate, Seed * 17 + 3);
   return T;
 }
 
@@ -50,7 +50,7 @@ Trace racyTrace(uint64_t Seed, double Rate) {
 std::pair<std::unordered_set<VarId>, std::map<VarId, uint64_t>>
 runAndSummarize(const Trace &T, Detector &D) {
   MarkedSampler S;
-  rapid::run(T, D, S);
+  api::AnalysisSession().addDetector(D).withSampler(S).run(T);
   std::map<VarId, uint64_t> First;
   for (const RaceReport &R : D.races())
     if (!First.count(R.Var))
@@ -107,8 +107,8 @@ TEST_P(EpochHistorySweep, EpochHistoriesDoLessAccessWork) {
                                  HistoryKind::VectorClocks);
   SamplingOrderedListDetector Eh(T.numThreads(), true, HistoryKind::Epochs);
   MarkedSampler S1, S2;
-  rapid::run(T, Vc, S1);
-  rapid::run(T, Eh, S2);
+  api::AnalysisSession().addDetector(Vc).withSampler(S1).run(T);
+  api::AnalysisSession().addDetector(Eh).withSampler(S2).run(T);
   // VC histories snapshot a full clock at every sampled write; epochs only
   // pay O(T) on read promotions and shared-read write checks.
   EXPECT_LT(Eh.metrics().FullClockOps, Vc.metrics().FullClockOps);

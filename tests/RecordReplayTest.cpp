@@ -111,7 +111,7 @@ TEST(RecordReplay, WellSynchronizedReplayIsRaceFree) {
                          EngineKind::SamplingO}) {
       std::unique_ptr<Detector> D = createDetector(K, T.numThreads());
       MarkedSampler S;
-      rapid::run(T, *D, S);
+      api::AnalysisSession().addDetector(*D).withSampler(S).run(T);
       EXPECT_EQ(D->metrics().RacesDeclared, 0u)
           << engineKindName(K) << " found a phantom race in the replay of "
           << modeName(M);
@@ -143,7 +143,7 @@ TEST(RecordReplay, SeededRaceReplaysAtSameLocation) {
   Trace T = Rt.recordedTrace();
   SamplingOrderedListDetector D(T.numThreads());
   MarkedSampler S;
-  rapid::run(T, D, S);
+  api::AnalysisSession().addDetector(D).withSampler(S).run(T);
   ASSERT_EQ(D.racyLocations().size(), 1u);
   // The recorded VarId is the shadow cell of &Shared; the online report
   // used the same cell space, so the location matches by construction.

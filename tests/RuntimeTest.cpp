@@ -411,3 +411,81 @@ TEST(RuntimeConfigTest, DegenerateSizesAreNormalized) {
     }
   }
 }
+
+//===----------------------------------------------------------------------===//
+// Registration limits: past MaxThreads and the fixed sync table,
+// registration returns NoThread / NoSync and every hook handed one of them
+// (or any other id past a limit) is dropped. Nothing but these checks
+// guards the tables, so this holds in Release builds too.
+//===----------------------------------------------------------------------===//
+
+TEST(RuntimeConfigTest, HooksDropIdsPastTheRegistrationLimits) {
+  constexpr size_t MaxThreads = 3;
+  const uint64_t X = 0x1000;
+  for (Mode M : {Mode::NT, Mode::ET, Mode::FT, Mode::ST, Mode::SU,
+                 Mode::SO}) {
+    SCOPED_TRACE(modeName(M));
+    // Two unordered writes to X, with or without every hook called on
+    // out-of-range ids in between. Returns (races, recorded events).
+    auto Run = [&](bool WithSentinels) {
+      Config C = makeConfig(M);
+      C.MaxThreads = MaxThreads;
+      C.RecordTrace = true;
+      Runtime Rt(C);
+      // Thread 0 is pre-registered: MaxThreads more calls make
+      // MaxThreads + 1 registrations, and the last one fails.
+      std::vector<ThreadId> Tids = {0};
+      for (size_t I = 0; I < MaxThreads; ++I)
+        Tids.push_back(Rt.registerThread());
+      for (size_t I = 0; I < MaxThreads; ++I)
+        EXPECT_EQ(Tids[I], I);
+      EXPECT_EQ(Tids[MaxThreads], NoThread);
+      EXPECT_EQ(Rt.registerThread(), NoThread);
+      // Sync ids are dense until the table is full, then NoSync.
+      SyncId NumSyncs = 0;
+      for (SyncId S; (S = Rt.registerSync()) != NoSync; ++NumSyncs)
+        EXPECT_EQ(S, NumSyncs);
+      EXPECT_GT(NumSyncs, 0u);
+      EXPECT_EQ(Rt.registerSync(), NoSync);
+
+      ThreadId A = Tids[1], B = Tids[2];
+      Rt.onFork(0, A);
+      Rt.onFork(0, B);
+      Rt.onWrite(A, X);
+      if (WithSentinels) {
+        for (ThreadId T : {NoThread, ThreadId(MaxThreads)}) {
+          Rt.onRead(T, X);
+          Rt.onWrite(T, X);
+          Rt.onAcquire(T, 0);
+          Rt.onRelease(T, 0);
+          Rt.onReleaseStore(T, 0);
+          Rt.onReleaseJoin(T, 0);
+          Rt.onAcquireLoad(T, 0);
+          Rt.onFork(A, T);
+          Rt.onFork(T, B);
+          Rt.onJoin(B, T);
+          Rt.onJoin(T, A);
+        }
+        for (SyncId L : {NoSync, NumSyncs}) {
+          // A release by A and an acquire by B on one in-range sync would
+          // order the writes; on a dropped sync they must not.
+          Rt.onRelease(A, L);
+          Rt.onReleaseStore(A, L);
+          Rt.onReleaseJoin(A, L);
+          Rt.onAcquire(B, L);
+          Rt.onAcquireLoad(B, L);
+        }
+      }
+      Rt.onWrite(B, X);
+      Rt.onJoin(0, A);
+      Rt.onJoin(0, B);
+      return std::make_pair(Rt.raceCount(), Rt.recordedTrace().size());
+    };
+    auto Plain = Run(false);
+    auto Hostile = Run(true);
+    EXPECT_EQ(Hostile, Plain);
+    if (M != Mode::NT && M != Mode::ET) {
+      EXPECT_EQ(Plain.first, 1u);
+    }
+  }
+}

@@ -14,8 +14,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "sampletrack/api/AnalysisSession.h"
 #include "sampletrack/detectors/DetectorFactory.h"
-#include "sampletrack/rapid/Engine.h"
 #include "sampletrack/support/SnapshotPool.h"
 #include "sampletrack/support/VectorClock.h"
 #include "sampletrack/trace/Trace.h"
@@ -180,7 +180,10 @@ Trace cowHeavyTrace(int Rounds) {
 
 TEST(SnapshotPoolIntegration, PooledRunRecyclesBuffersOnCowHeavyTrace) {
   Trace T = cowHeavyTrace(200);
-  rapid::RunResult R = rapid::runEngine(T, EngineKind::SamplingO, 1.0, 1);
+  api::SessionConfig Cfg;
+  Cfg.Engines = {EngineKind::SamplingO};
+  Cfg.Sampling = api::SamplerKind::Always;
+  api::EngineRun R = api::AnalysisSession(Cfg).run(T).Engines.front();
   EXPECT_GT(R.Stats.CowBreaks, 0u) << "trace must actually contend";
   EXPECT_EQ(R.Stats.CowBreaks, R.Stats.DeepCopies)
       << "on the lazy path every deep copy is a CoW break";
@@ -192,15 +195,15 @@ TEST(SnapshotPoolIntegration, PooledRunRecyclesBuffersOnCowHeavyTrace) {
 
 TEST(SnapshotPoolIntegration, PooledAndUnpooledRunsAreBitIdentical) {
   Trace T = cowHeavyTrace(100);
-  rapid::markTrace(T, 0.5, 99);
+  markTrace(T, 0.5, 99);
   for (EngineKind K : {EngineKind::SamplingO, EngineKind::SamplingONoEpochOpt,
                        EngineKind::TreeClockFull}) {
     std::unique_ptr<Detector> Pooled = createDetector(K, T.numThreads());
     std::unique_ptr<Detector> Unpooled = createDetector(K, T.numThreads());
     Unpooled->setPoolingEnabled(false);
     MarkedSampler S1, S2;
-    rapid::run(T, *Pooled, S1);
-    rapid::run(T, *Unpooled, S2);
+    api::AnalysisSession().addDetector(*Pooled).withSampler(S1).run(T);
+    api::AnalysisSession().addDetector(*Unpooled).withSampler(S2).run(T);
 
     EXPECT_EQ(Pooled->races(), Unpooled->races());
     EXPECT_EQ(Unpooled->metrics().PoolHits, 0u);

@@ -111,11 +111,11 @@ TEST(FullSuite, EveryTraceValidatesAndIsDeterministic) {
 TEST(FullSuite, EnginesAgreeOnEveryBenchmark) {
   for (const SuiteEntry &E : suiteEntries()) {
     Trace T = generateSuiteTrace(E.Name, 0.05, 3);
-    rapid::markTrace(T, 0.05, 11);
+    markTrace(T, 0.05, 11);
     auto Run = [&](EngineKind K) {
       std::unique_ptr<Detector> D = createDetector(K, T.numThreads());
       MarkedSampler S;
-      rapid::run(T, *D, S);
+      api::AnalysisSession().addDetector(*D).withSampler(S).run(T);
       std::vector<uint64_t> Out;
       for (const RaceReport &R : D->races())
         Out.push_back(R.EventIndex);
@@ -134,19 +134,27 @@ TEST(FullSuite, SamplingWorkScalesDownWithRate) {
   size_t Improved = 0, Count = 0;
   for (const SuiteEntry &E : suiteEntries()) {
     Trace T = generateSuiteTrace(E.Name, 0.05, 5);
-    rapid::markTrace(T, 0.003, 13);
-    rapid::RunResult St, So;
+    markTrace(T, 0.003, 13);
+    api::EngineRun St, So;
     {
       std::unique_ptr<Detector> D =
           createDetector(EngineKind::SamplingNaive, T.numThreads());
       MarkedSampler S;
-      St = rapid::run(T, *D, S);
+      St = api::AnalysisSession()
+               .addDetector(*D)
+               .withSampler(S)
+               .run(T)
+               .Engines.front();
     }
     {
       std::unique_ptr<Detector> D =
           createDetector(EngineKind::SamplingO, T.numThreads());
       MarkedSampler S;
-      So = rapid::run(T, *D, S);
+      So = api::AnalysisSession()
+               .addDetector(*D)
+               .withSampler(S)
+               .run(T)
+               .Engines.front();
     }
     uint64_t StWork = St.Stats.EntriesTraversed +
                       St.Stats.FullClockOps * T.numThreads();

@@ -24,7 +24,6 @@
 #include "sampletrack/detectors/SamplingNaiveDetector.h"
 #include "sampletrack/detectors/SamplingOrderedListDetector.h"
 #include "sampletrack/detectors/SamplingUClockDetector.h"
-#include "sampletrack/rapid/Engine.h"
 #include "sampletrack/sampling/Sampler.h"
 #include "sampletrack/trace/TraceGen.h"
 
@@ -43,8 +42,16 @@ Trace randomMarkedTrace(uint64_t Seed, double Rate) {
   C.UnprotectedFraction = 0.05;
   C.Seed = Seed;
   Trace T = generateWorkload(C);
-  rapid::markTrace(T, Rate, Seed + 1);
+  markTrace(T, Rate, Seed + 1);
   return T;
+}
+
+/// Feeds \p E to \p D as a one-element batch with decision \p Sampled, so
+/// a test can inspect the detector's clocks after every event.
+void processOne(Detector &D, const Event &E, bool Sampled) {
+  const uint8_t Decision = Sampled ? 1 : 0;
+  D.processBatch(std::span<const Event>(&E, 1),
+                 std::span<const uint8_t>(&Decision, 1));
 }
 
 class PropertySweep
@@ -92,10 +99,10 @@ TEST_P(PropertySweep, LockstepClockEqualityAcrossEngines) {
 
   for (size_t I = 0; I < T.size(); ++I) {
     const Event &E = T[I];
-    ST.processEvent(E, E.Marked);
-    SU.processEvent(E, E.Marked);
-    SO.processEvent(E, E.Marked);
-    SON.processEvent(E, E.Marked);
+    processOne(ST, E, E.Marked);
+    processOne(SU, E, E.Marked);
+    processOne(SO, E, E.Marked);
+    processOne(SON, E, E.Marked);
     for (ThreadId A = 0; A < NT; ++A) {
       ASSERT_EQ(ST.localEpoch(A), SU.localEpoch(A)) << "event " << I;
       ASSERT_EQ(ST.localEpoch(A), SO.localEpoch(A)) << "event " << I;
@@ -197,26 +204,26 @@ TEST(Figure1Example, Algorithm2ClockEvolution) {
   // Process up to (and including) e6 = index 5: the first release sends
   // <1,0> to l1 and bumps t1's local epoch to 2.
   for (size_t I = 0; I <= 5; ++I)
-    D.processEvent(T[I], T[I].Marked);
+    processOne(D, T[I], T[I].Marked);
   EXPECT_EQ(D.threadClock(0).get(0), 1u);
   EXPECT_EQ(D.localEpoch(0), 2u);
 
   // After e10 (rel(l2), index 9): NOT a RelAfter release — epoch unchanged,
   // clock still <1,0> (the paper highlights this step).
   for (size_t I = 6; I <= 9; ++I)
-    D.processEvent(T[I], T[I].Marked);
+    processOne(D, T[I], T[I].Marked);
   EXPECT_EQ(D.threadClock(0).get(0), 1u);
   EXPECT_EQ(D.localEpoch(0), 2u);
 
   // After e17 (rel(l4), index 16): e15/e16 were sampled, so the release
   // flushes: C_t1 = <2,0>, epoch 3.
   for (size_t I = 10; I <= 16; ++I)
-    D.processEvent(T[I], T[I].Marked);
+    processOne(D, T[I], T[I].Marked);
   EXPECT_EQ(D.threadClock(0).get(0), 2u);
   EXPECT_EQ(D.localEpoch(0), 3u);
 
   // e18: t2 receives <2,0>.
-  D.processEvent(T[17], false);
+  processOne(D, T[17], false);
   EXPECT_EQ(D.threadClock(1).get(0), 2u);
 }
 
@@ -224,7 +231,7 @@ TEST(Figure2Example, Algorithm3SkipsRedundantAcquires) {
   Trace T = figure1Trace();
   SamplingUClockDetector D(T.numThreads());
   for (size_t I = 0; I < T.size(); ++I)
-    D.processEvent(T[I], T[I].Marked);
+    processOne(D, T[I], T[I].Marked);
 
   // The paper: e8 performs a join; e12 and e14 are skipped; e18 joins.
   // t2 performs 4 mutex acquires plus 0 others; 2 of them are skipped.

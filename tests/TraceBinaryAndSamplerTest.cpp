@@ -6,6 +6,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "sampletrack/sampling/PeriodSamplers.h"
+#include "sampletrack/sampling/Sampler.h"
 #include "sampletrack/trace/TraceGen.h"
 #include "sampletrack/trace/TraceIO.h"
 
@@ -32,6 +33,15 @@ Trace sampleTrace(uint64_t Seed) {
 }
 
 Event access(VarId X = 0) { return Event(0, OpKind::Read, X); }
+
+Trace unmarkedTrace(uint64_t Seed) {
+  GenConfig C;
+  C.NumThreads = 4;
+  C.NumLocks = 4;
+  C.NumEvents = 5000;
+  C.Seed = Seed;
+  return generateWorkload(C);
+}
 
 } // namespace
 
@@ -167,4 +177,36 @@ TEST(ColdRegionSampler, HotLocationsFadeColdStayHot) {
   for (VarId V = 100; V < 150; ++V)
     Cold += S.shouldSample(access(V));
   EXPECT_GT(Cold, 40u);
+}
+
+//===----------------------------------------------------------------------===//
+// markTrace: the Marked bits MarkedSampler replays
+//===----------------------------------------------------------------------===//
+
+TEST(MarkTrace, IsDeterministicAndRateAccurate) {
+  Trace A = unmarkedTrace(1), B = unmarkedTrace(1);
+  markTrace(A, 0.1, 42);
+  markTrace(B, 0.1, 42);
+  ASSERT_EQ(A.countMarked(), B.countMarked());
+  for (size_t I = 0; I < A.size(); ++I)
+    ASSERT_EQ(A[I].Marked, B[I].Marked) << "event " << I;
+
+  size_t Accesses = A.countKind(OpKind::Read) + A.countKind(OpKind::Write);
+  double Observed = static_cast<double>(A.countMarked()) / Accesses;
+  EXPECT_NEAR(Observed, 0.1, 0.03);
+
+  Trace C = unmarkedTrace(1);
+  markTrace(C, 0.1, 43);
+  bool Differs = false;
+  for (size_t I = 0; I < A.size(); ++I)
+    if (A[I].Marked != C[I].Marked)
+      Differs = true;
+  EXPECT_TRUE(Differs) << "different seeds must give different sample sets";
+}
+
+TEST(MarkTrace, AtFullRateMarksEveryAccess) {
+  Trace T = unmarkedTrace(2);
+  markTrace(T, 1.0, 0);
+  for (const Event &E : T)
+    EXPECT_EQ(E.Marked, isAccess(E.Kind));
 }

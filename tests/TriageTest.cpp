@@ -11,8 +11,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "sampletrack/api/AnalysisSession.h"
 #include "sampletrack/api/Report.h"
-#include "sampletrack/rapid/Engine.h"
 #include "sampletrack/runtime/Runtime.h"
 #include "sampletrack/trace/TraceGen.h"
 #include "sampletrack/triage/Exporters.h"
@@ -50,10 +50,29 @@ void *operator new[](std::size_t Size) {
   throw std::bad_alloc();
 }
 
+// The nothrow forms too: the library allocates through them (e.g.
+// std::stable_sort's temporary buffer) and frees through the deletes
+// above, so both ends must use malloc/free.
+void *operator new(std::size_t Size, const std::nothrow_t &) noexcept {
+  GAllocCount.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(Size);
+}
+
+void *operator new[](std::size_t Size, const std::nothrow_t &) noexcept {
+  GAllocCount.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(Size);
+}
+
 void operator delete(void *P) noexcept { std::free(P); }
 void operator delete[](void *P) noexcept { std::free(P); }
 void operator delete(void *P, std::size_t) noexcept { std::free(P); }
 void operator delete[](void *P, std::size_t) noexcept { std::free(P); }
+void operator delete(void *P, const std::nothrow_t &) noexcept {
+  std::free(P);
+}
+void operator delete[](void *P, const std::nothrow_t &) noexcept {
+  std::free(P);
+}
 
 namespace {
 

@@ -17,8 +17,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "sampletrack/api/AnalysisSession.h"
 #include "sampletrack/detectors/DetectorFactory.h"
-#include "sampletrack/rapid/Engine.h"
 #include "sampletrack/trace/TraceGen.h"
 
 #include <gtest/gtest.h>
@@ -51,7 +51,7 @@ Trace markedPeriodic(size_t NumEvents, size_t NumLocks, size_t TargetSamples,
 Metrics runMarked(const Trace &T, EngineKind K) {
   std::unique_ptr<Detector> D = createDetector(K, T.numThreads());
   MarkedSampler S;
-  rapid::run(T, *D, S);
+  api::AnalysisSession().addDetector(*D).withSampler(S).run(T);
   return D->metrics();
 }
 
@@ -156,7 +156,7 @@ TEST(WorkBounds, SkipRatesRiseAsSamplingRateFalls) {
   double PrevSkipRatio = -1.0;
   for (double Rate : {1.0, 0.1, 0.01, 0.001}) {
     Trace T = Base;
-    rapid::markTrace(T, Rate, 77);
+    markTrace(T, Rate, 77);
     Metrics M = runMarked(T, EngineKind::SamplingU);
     double Ratio = static_cast<double>(M.AcquiresSkipped) /
                    static_cast<double>(M.AcquiresTotal);
