@@ -9,9 +9,8 @@
 
 using namespace sampletrack;
 
-SamplingNaiveDetector::SamplingNaiveDetector(size_t NumThreads,
-                                             HistoryKind Histories)
-    : SamplingDetectorBase(NumThreads, Histories) {
+SamplingNaiveDetector::SamplingNaiveDetector(size_t NumThreads)
+    : SamplingDetectorBase(NumThreads) {
   // Unlike Djit+, sampling clocks start at bottom: C_t(t) tracks the local
   // time of the last *sampled* event, not the live epoch (Algorithm 2).
   Threads.assign(NumThreads, VectorClock(NumThreads));

@@ -12,8 +12,8 @@
 using namespace sampletrack;
 
 SamplingOrderedListDetector::SamplingOrderedListDetector(
-    size_t NumThreads, bool LocalEpochOpt, HistoryKind Histories)
-    : SamplingDetectorBase(NumThreads, Histories),
+    size_t NumThreads, bool LocalEpochOpt)
+    : SamplingDetectorBase(NumThreads),
       LocalEpochOpt(LocalEpochOpt) {
   Threads.resize(NumThreads);
   for (ThreadState &TS : Threads) {

@@ -9,9 +9,8 @@
 
 using namespace sampletrack;
 
-SamplingUClockDetector::SamplingUClockDetector(size_t NumThreads,
-                                               HistoryKind Histories)
-    : SamplingDetectorBase(NumThreads, Histories) {
+SamplingUClockDetector::SamplingUClockDetector(size_t NumThreads)
+    : SamplingDetectorBase(NumThreads) {
   Threads.resize(NumThreads);
   for (ThreadState &TS : Threads) {
     TS.C = VectorClock(NumThreads);

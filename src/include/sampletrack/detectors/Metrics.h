@@ -73,7 +73,10 @@ struct Metrics {
 
   /// Number of O(T) whole-clock operations (joins, copies,
   /// materializations) performed anywhere; the complexity-bound tests check
-  /// this against the paper's O(|S| T) style bounds.
+  /// this against the paper's O(|S| T) style bounds. On the access path the
+  /// only such operations are read-history promotions and write checks
+  /// against a promoted read history: write histories, and read histories
+  /// until two unordered reads meet, are epochs.
   uint64_t FullClockOps = 0;
 
   /// Race-detection activity.

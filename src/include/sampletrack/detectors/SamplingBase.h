@@ -11,6 +11,26 @@
 /// Eq. 5), and the access-history race checks of Algorithm 2's read/write
 /// handlers, parameterized over the engine's clock representation.
 ///
+/// The histories keep Algorithm 2's declaration semantics exactly (the
+/// Lemma 4 oracle, HBClosureOracle::declaredRaces with MarkedOnly) but are
+/// stored in constant space per variable:
+///
+///  - Cw_x is the last sampled write's epoch (WTid, WClk). Algorithm 2
+///    replaces Cw_x with the writer's effective clock at every sampled
+///    write, and by Proposition 3 "Cw_x <= C_t[t -> e_t]" is exactly
+///    "WClk <= C_t[t -> e_t](WTid)" because that write was itself sampled.
+///  - Cr_x is one read epoch (RTid, RClk) until two unordered reads meet,
+///    then a read vector clock that stays promoted. A sampled read replaces
+///    the epoch when the stored read happens-before it: by transitivity of
+///    HB over sampled events, every check the kept read passes the dropped
+///    one passes too. There is no same-epoch fast path and writes never
+///    demote, so every check's outcome, every RaceChecks increment and
+///    every declared event are those of the vector-clock histories.
+///
+/// Access-side O(T) work is therefore only read promotions and write
+/// checks against promoted read histories (both counted in
+/// Metrics::FullClockOps).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SAMPLETRACK_DETECTORS_SAMPLINGBASE_H
@@ -23,41 +43,23 @@
 
 namespace sampletrack {
 
-/// How access histories (Cw_x / Cr_x) are represented.
-///
-/// The paper presents Djit+-style vector-clock histories (Algorithm 2) and
-/// notes that FastTrack's epoch optimization "is independent of our
-/// innovations" (Section 2.1): under sampling, Proposition 3 makes the
-/// scalar epoch comparison exact for marked events, so histories can be
-/// epochs with adaptive read promotion exactly as in FastTrack, cutting the
-/// per-access cost from O(T) to amortized O(1).
-enum class HistoryKind {
-  VectorClocks, ///< Algorithm 2 as printed: full Cw/Cr vector clocks.
-  Epochs,       ///< FastTrack-style write epoch + adaptive read history.
-};
-
 /// Common state and handlers of the sampling engines.
 ///
 /// Subclasses provide the clock representation through two hooks:
-/// \ref clockDominatesHistory (is a history timestamp <= the thread's
-/// effective clock C_t[t -> e_t]?) and \ref snapshotEffectiveClock (copy the
-/// effective clock into a history). Everything else about the read/write
-/// handlers is identical across engines (the paper presents them once, in
-/// Algorithm 2).
+/// \ref effectiveClockComponent (one component of the thread's effective
+/// clock C_t[t -> e_t], for the epoch checks) and \ref clockDominatesHistory
+/// (is a promoted read history <= that clock?). Everything else about the
+/// read/write handlers is identical across engines (the paper presents them
+/// once, in Algorithm 2).
 class SamplingDetectorBase : public Detector {
 public:
-  explicit SamplingDetectorBase(size_t NumThreads,
-                                HistoryKind Histories =
-                                    HistoryKind::VectorClocks)
-      : Detector(NumThreads), Histories(Histories) {
+  explicit SamplingDetectorBase(size_t NumThreads) : Detector(NumThreads) {
     Epochs.assign(NumThreads, 1); // e_t starts at 1 (Algorithm 2, Line 3).
     Dirty.assign(NumThreads, false);
   }
 
   void onRead(ThreadId T, VarId X) final;
   void onWrite(ThreadId T, VarId X) final;
-
-  HistoryKind historyKind() const { return Histories; }
 
   /// Local epoch e_t of thread \p T (tests inspect this).
   ClockValue localEpoch(ThreadId T) const { return Epochs[T]; }
@@ -67,12 +69,9 @@ public:
   bool isDirty(ThreadId T) const { return Dirty[T]; }
 
 protected:
-  /// True iff history timestamp \p C is pointwise <= the thread's effective
-  /// clock C_t[t -> e_t].
+  /// True iff the promoted read history \p C is pointwise <= the thread's
+  /// effective clock C_t[t -> e_t].
   virtual bool clockDominatesHistory(ThreadId T, const VectorClock &C) = 0;
-
-  /// Copies the effective clock C_t[t -> e_t] into \p Out (sized T).
-  virtual void snapshotEffectiveClock(ThreadId T, VectorClock &Out) = 0;
 
   /// Called by the release-like handlers of subclasses: if the thread
   /// performed a sampled event since the last flush, publish e_t into the
@@ -93,47 +92,31 @@ protected:
   virtual void publishLocalTime(ThreadId T, ClockValue Time) = 0;
 
   /// The effective clock component C_t[t -> e_t](Of) — subclasses answer
-  /// single-component queries for the epoch-history checks.
+  /// single-component queries for the epoch checks.
   virtual ClockValue effectiveClockComponent(ThreadId T, ThreadId Of) = 0;
 
-  /// Read/write access histories (Cw_x and Cr_x of Algorithm 2), allocated
-  /// on first touch. Only sampled events reach them, so total work here is
-  /// O(|S| T) with vector-clock histories and amortized O(|S|) with epochs.
+  /// Read/write access histories (Cw_x and Cr_x of Algorithm 2) in the
+  /// representation the file comment describes. Only sampled events reach
+  /// them. R is empty until the read history is promoted.
   struct VarState {
-    // HistoryKind::VectorClocks representation.
-    VectorClock W, R;
-    // HistoryKind::Epochs representation (FastTrack-style).
+    VectorClock R;
     ThreadId WTid = 0;
     ClockValue WClk = 0;
     ThreadId RTid = 0;
     ClockValue RClk = 0;
-    bool ReadShared = false;
   };
 
   VarState &varState(VarId X) {
     // Geometric growth: ascending-VarId traces would otherwise reallocate
     // (and move every VarState) once per new variable.
     growToIndex(Vars, X);
-    VarState &V = Vars[X];
-    if (Histories == HistoryKind::VectorClocks) {
-      if (V.W.size() == 0) {
-        V.W = VectorClock(numThreads());
-        V.R = VectorClock(numThreads());
-      }
-    } else if (V.ReadShared && V.R.size() == 0) {
-      V.R = VectorClock(numThreads());
-    }
-    return V;
+    return Vars[X];
   }
 
-  HistoryKind Histories;
   std::vector<ClockValue> Epochs;
   std::vector<bool> Dirty;
 
 private:
-  void readWithEpochHistories(ThreadId T, VarId X);
-  void writeWithEpochHistories(ThreadId T, VarId X);
-
   std::vector<VarState> Vars;
 };
 

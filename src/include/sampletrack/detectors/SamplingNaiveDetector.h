@@ -26,9 +26,7 @@ namespace sampletrack {
 /// ST: Algorithm 2, the sampling timestamp with naive communication.
 class SamplingNaiveDetector final : public SamplingDetectorBase {
 public:
-  explicit SamplingNaiveDetector(size_t NumThreads,
-                                 HistoryKind Histories =
-                                     HistoryKind::VectorClocks);
+  explicit SamplingNaiveDetector(size_t NumThreads);
 
   std::string name() const override { return "ST"; }
 
@@ -49,10 +47,6 @@ public:
 protected:
   bool clockDominatesHistory(ThreadId T, const VectorClock &C) override {
     return C.leqWithOverride(Threads[T], T, Epochs[T]);
-  }
-  void snapshotEffectiveClock(ThreadId T, VectorClock &Out) override {
-    Out.copyFrom(Threads[T]);
-    Out.set(T, Epochs[T]);
   }
   void publishLocalTime(ThreadId T, ClockValue Time) override {
     Threads[T].set(T, Time);

@@ -18,9 +18,9 @@
 /// and T per fork, join or multi-source join. Total timestamping work is
 /// O(|S| T^2), independent of the number of locks, and instance optimal up
 /// to a factor T (Lemma 9).
-/// The race-check and snapshot passes (dominatesWithOverride,
-/// toVectorClock) run over the list's SoA time array through the simd
-/// clock kernels.
+/// The promoted read-history check and the multi-source materialization
+/// (dominatesWithOverride, toVectorClock) run over the list's SoA time
+/// array through the simd clock kernels.
 ///
 /// Two orthogonal options support the ablation benches:
 /// - LocalEpochOpt (Section 6.1): the thread's own component travels next
@@ -60,9 +60,7 @@ class SamplingOrderedListDetector final : public SamplingDetectorBase {
 public:
   /// \p LocalEpochOpt toggles the Section 6.1 local-epoch optimization.
   explicit SamplingOrderedListDetector(size_t NumThreads,
-                                       bool LocalEpochOpt = true,
-                                       HistoryKind Histories =
-                                           HistoryKind::VectorClocks);
+                                       bool LocalEpochOpt = true);
 
   std::string name() const override { return "SO"; }
 
@@ -94,9 +92,6 @@ protected:
     // The only possibly-stale list entry is the thread's own, and the
     // effective-epoch override replaces it anyway (e_t >= OwnTime).
     return Threads[T].O->dominatesWithOverride(C, T, Epochs[T]);
-  }
-  void snapshotEffectiveClock(ThreadId T, VectorClock &Out) override {
-    Threads[T].O->toVectorClock(Out, T, Epochs[T]);
   }
   void publishLocalTime(ThreadId T, ClockValue Time) override;
   ClockValue effectiveClockComponent(ThreadId T, ThreadId Of) override {

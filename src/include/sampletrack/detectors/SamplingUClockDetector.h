@@ -34,9 +34,7 @@ namespace sampletrack {
 /// SU: Algorithm 3, sampling clocks plus freshness (U) clocks.
 class SamplingUClockDetector final : public SamplingDetectorBase {
 public:
-  explicit SamplingUClockDetector(size_t NumThreads,
-                                  HistoryKind Histories =
-                                      HistoryKind::VectorClocks);
+  explicit SamplingUClockDetector(size_t NumThreads);
 
   std::string name() const override { return "SU"; }
 
@@ -57,10 +55,6 @@ public:
 protected:
   bool clockDominatesHistory(ThreadId T, const VectorClock &C) override {
     return C.leqWithOverride(Threads[T].C, T, Epochs[T]);
-  }
-  void snapshotEffectiveClock(ThreadId T, VectorClock &Out) override {
-    Out.copyFrom(Threads[T].C);
-    Out.set(T, Epochs[T]);
   }
   void publishLocalTime(ThreadId T, ClockValue Time) override {
     // Publishing the epoch is itself one entry update (Line 17 of

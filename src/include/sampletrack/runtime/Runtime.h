@@ -26,12 +26,13 @@
 /// (copy-on-write), so references can be handed across threads under the
 /// sync mutex alone.
 ///
-/// Shadow layout: a cell is 48 bytes, FastTrack's epochs plus a pointer to
-/// one flat history buffer of MaxThreads words (FT's read-shared vector
-/// clock) or 2 x MaxThreads words (the sampling modes' read history Cr_x,
-/// then the write history Cw_x), allocated on the cell's first need. The
-/// cell stores each history's active-prefix length and keeps every word
-/// past it zero, so an access check is one pointer hop and a raw-array
+/// Shadow layout: a cell is 48 bytes, a write epoch and a read epoch plus a
+/// pointer to one flat read history of MaxThreads words, allocated when two
+/// unordered reads first meet on the cell (FT's read-shared vector clock,
+/// or the sampling modes' Cr_x). Every engine's write history is the epoch
+/// alone: for the sampling modes that is Algorithm 2's Cw_x, exact by
+/// Proposition 3. So a sampled access costs O(1) unless the cell's reads
+/// are promoted, a promoted check is one pointer hop and a raw-array
 /// compare, and an evicted address's history is zeroed in place.
 ///
 //===----------------------------------------------------------------------===//
@@ -200,12 +201,12 @@ private:
   /// Direct-mapped shadow ownership: claims the cell for \p Addr, dropping
   /// a colliding address's history (see Shadow::Owner). Shard lock held.
   void reclaimCell(Shadow &Sh, uint64_t Addr);
-  /// Sampling modes: is the flat history \p H, with active prefix \p Len,
-  /// <= the effective clock C_t[t -> e_t]?
+  /// Thread \p T's knowledge of thread \p Of's time: C_t(Of) under FT,
+  /// the effective clock component C_t[t -> e_t](Of) in the sampling modes.
+  ClockValue knownTime(ThreadId T, ThreadId Of);
+  /// Is the promoted read history \p H, with active prefix \p Len, <= the
+  /// thread's clock (the effective clock C_t[t -> e_t] when sampling)?
   bool dominatesHistory(ThreadId T, const ClockValue *H, size_t Len);
-  /// Sampling modes: overwrites the flat write history \p W, whose active
-  /// prefix is \p Len, with the effective clock and updates \p Len.
-  void snapshotEffective(ThreadId T, ClockValue *W, uint32_t &Len);
   /// Lines 19-21 of Algorithm 2: publish e_t if the thread performed a
   /// sampled access since the last release-like event.
   void flushLocalEpoch(ThreadId T);

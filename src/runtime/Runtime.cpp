@@ -144,15 +144,18 @@ struct Runtime::SyncState {
   std::vector<bool> AcquiredSince;
 };
 
-/// One shadow cell: FastTrack's epochs plus one flat history buffer,
-/// allocated on the cell's first need (only FT's read-shared promotion and
-/// sampled accesses ever need it). With T = Config::MaxThreads, FT keeps
-/// its read vector clock in words [0, T); the sampling modes keep
-/// Algorithm 2's read history Cr_x in [0, T) and write history Cw_x in
-/// [T, 2T). RLen and WLen are the histories' active prefixes, and every
-/// word at or past its prefix is zero, so a check scans only the prefix
-/// and a reclaim zeroes only the prefix, reusing the buffer in place. The
-/// histories are never shared, so nothing is reference-counted or pooled.
+/// One shadow cell: a write epoch, a read epoch and one flat read-history
+/// buffer of T = Config::MaxThreads words, allocated when the cell's reads
+/// are first promoted. Every analysis mode keeps its write history in
+/// (WTid, WClk) and its read history in (RTid, RClk) until two unordered
+/// reads meet, then in the buffer: FastTrack's read-shared vector clock,
+/// or Algorithm 2's Cr_x for the sampling modes (see SamplingBase.h for
+/// why epochs decide Algorithm 2's checks exactly). RLen is the buffer's
+/// active prefix, nonzero exactly when the reads are promoted, and every
+/// word at or past it is zero, so a check scans only the prefix and a
+/// reclaim zeroes only the prefix, reusing the buffer in place. FT demotes
+/// on a write; the sampling modes never do. The histories are never
+/// shared, so nothing is reference-counted or pooled.
 struct Runtime::Shadow {
   /// Direct-mapped ownership: the address whose history this cell holds
   /// (0 = never claimed; real addresses are never 0). Cells are a hash
@@ -163,25 +166,20 @@ struct Runtime::Shadow {
   /// false-negative-only approximation, exactly like TSan's own shadow
   /// eviction.
   uint64_t Owner = 0;
-  // FT epochs.
   ClockValue WClk = 0;
   ClockValue RClk = 0;
   std::unique_ptr<ClockValue[]> Hist;
   ThreadId WTid = 0;
   ThreadId RTid = 0;
-  /// Active prefix of the read history. FT's read is read-shared exactly
-  /// when this is nonzero: a promotion stores two nonzero epochs.
+  /// Active prefix of the read history buffer. The reads are promoted
+  /// exactly when this is nonzero: a promotion stores two nonzero epochs.
   uint32_t RLen = 0;
-  /// Active prefix of the write history (sampling modes; 0 under FT).
-  uint32_t WLen = 0;
 };
 
 struct Runtime::Impl {
   explicit Impl(const Config &C)
-      : HistWords(C.AnalysisMode == Mode::FT ? C.MaxThreads
-                                             : 2 * C.MaxThreads),
-        Threads(C.MaxThreads), Syncs(MaxSyncs), Cells(C.ShadowCells),
-        Shards(C.ShadowShards) {
+      : HistWords(C.MaxThreads), Threads(C.MaxThreads), Syncs(MaxSyncs),
+        Cells(C.ShadowCells), Shards(C.ShadowShards) {
     ListPool.setEnabled(C.PoolingEnabled);
     if (C.ProfilingEnabled)
       Prof = std::make_unique<prof::Profiler>();
@@ -200,7 +198,7 @@ struct Runtime::Impl {
   /// drain back into the pool on destruction.
   SnapshotPool<OrderedList> ListPool;
 
-  /// Words in a shadow cell's history buffer: T for FT, 2T otherwise.
+  /// Words in a shadow cell's read history buffer: T.
   const size_t HistWords;
 
   /// \p Sh's history buffer, allocated zeroed on first use.
@@ -401,33 +399,23 @@ void Runtime::reportRace(ThreadId T, uint64_t Cell, bool OnWrite) {
   I->RacyCells.insert(Cell);
 }
 
+ClockValue Runtime::knownTime(ThreadId T, ThreadId Of) {
+  ThreadState &TS = I->Threads[T];
+  if (Cfg.AnalysisMode == Mode::FT)
+    return TS.C.get(Of);
+  if (Of == T)
+    return TS.Epoch;
+  return Cfg.AnalysisMode == Mode::SO ? TS.O->get(Of) : TS.C.get(Of);
+}
+
 bool Runtime::dominatesHistory(ThreadId T, const ClockValue *H,
                                size_t Len) {
   ThreadState &TS = I->Threads[T];
+  if (Cfg.AnalysisMode == Mode::FT)
+    return simd::allLeq(H, TS.C.data(), Len);
   const ClockValue *C =
       Cfg.AnalysisMode == Mode::SO ? TS.O->data() : TS.C.data();
   return simd::allLeqWithOverride(H, C, Len, T, TS.Epoch);
-}
-
-void Runtime::snapshotEffective(ThreadId T, ClockValue *W, uint32_t &Len) {
-  ThreadState &TS = I->Threads[T];
-  const ClockValue *Src;
-  size_t N;
-  if (Cfg.AnalysisMode == Mode::SO) {
-    // The list's time array has no high-water mark: trim its zero tail.
-    Src = TS.O->data();
-    N = Cfg.MaxThreads;
-    while (N > T + 1 && Src[N - 1] == 0)
-      --N;
-  } else {
-    Src = TS.C.data();
-    N = std::max<size_t>(TS.C.activeLen(), T + 1);
-  }
-  std::copy_n(Src, N, W);
-  if (Len > N)
-    std::fill(W + N, W + Len, 0);
-  W[T] = TS.Epoch;
-  Len = static_cast<uint32_t>(N);
 }
 
 void Runtime::flushLocalEpoch(ThreadId T) {
@@ -463,13 +451,10 @@ void Runtime::reclaimCell(Shadow &Sh, uint64_t Addr) {
   Sh.WClk = 0;
   Sh.RTid = 0;
   Sh.RClk = 0;
-  if (Sh.Hist) {
-    // Zero the prefixes; the buffer stays with the cell.
+  // Zero the prefix; the buffer stays with the cell.
+  if (Sh.Hist)
     std::fill_n(Sh.Hist.get(), Sh.RLen, 0);
-    std::fill_n(Sh.Hist.get() + Cfg.MaxThreads, Sh.WLen, 0);
-  }
   Sh.RLen = 0;
-  Sh.WLen = 0;
 }
 
 void Runtime::soApplyEntry(ThreadId T, ThreadId Of, ClockValue Val) {
@@ -541,52 +526,42 @@ void Runtime::onRead(ThreadId T, uint64_t Addr) {
     TS.EtCounter += Cell + I->Cells[Cell].WClk;
     return;
   }
-
-  if (Cfg.AnalysisMode == Mode::FT) {
-    Shadow &Sh = I->Cells[Cell];
-    ShardLock G(I->Shards, Cell);
-    reclaimCell(Sh, Addr);
-    ClockValue MyClk = TS.C.get(T);
-    bool ReadShared = Sh.RLen != 0;
-    // Same-epoch fast path.
-    if (!ReadShared && Sh.RTid == T && Sh.RClk == MyClk)
+  bool FT = Cfg.AnalysisMode == Mode::FT;
+  if (!FT) {
+    // Sampling modes: unsampled accesses are skipped entirely.
+    if (!Sampled)
       return;
-    if (ReadShared && Sh.Hist[T] == MyClk)
-      return;
-    ++TS.Stats.RaceChecks;
-    if (Sh.WClk > TS.C.get(Sh.WTid))
-      reportRace(T, Cell, /*OnWrite=*/false);
-    if (ReadShared) {
-      Sh.Hist[T] = MyClk;
-      Sh.RLen = std::max(Sh.RLen, T + 1);
-    } else if (Sh.RClk <= TS.C.get(Sh.RTid)) {
-      Sh.RTid = T;
-      Sh.RClk = MyClk;
-    } else {
-      // Promotion: the read vector clock is all zero (RLen == 0).
-      ClockValue *RVC = I->history(Sh);
-      ++TS.Stats.FullClockOps;
-      RVC[Sh.RTid] = Sh.RClk;
-      RVC[T] = MyClk;
-      Sh.RLen = std::max(Sh.RTid, T) + 1;
-    }
-    return;
+    ++TS.Stats.SampledAccesses;
+    TS.Dirty = true;
   }
 
-  // Sampling modes: unsampled accesses are skipped entirely.
-  if (!Sampled)
-    return;
-  ++TS.Stats.SampledAccesses;
-  TS.Dirty = true;
   Shadow &Sh = I->Cells[Cell];
   ShardLock G(I->Shards, Cell);
   reclaimCell(Sh, Addr);
+  ClockValue MyClk = FT ? TS.C.get(T) : TS.Epoch;
+  // FastTrack's same-epoch fast path. Algorithm 2 has none: every sampled
+  // read is checked.
+  if (FT && (Sh.RLen != 0 ? Sh.Hist[T] == MyClk
+                          : Sh.RTid == T && Sh.RClk == MyClk))
+    return;
   ++TS.Stats.RaceChecks;
-  ClockValue *H = I->history(Sh);
-  if (!dominatesHistory(T, H + Cfg.MaxThreads, Sh.WLen))
+  if (Sh.WClk > knownTime(T, Sh.WTid))
     reportRace(T, Cell, /*OnWrite=*/false);
-  H[T] = TS.Epoch;
-  Sh.RLen = std::max(Sh.RLen, T + 1);
+  if (Sh.RLen != 0) {
+    Sh.Hist[T] = MyClk;
+    Sh.RLen = std::max(Sh.RLen, T + 1);
+  } else if (Sh.RClk <= knownTime(T, Sh.RTid)) {
+    // The stored read happens-before this one, which stands for both.
+    Sh.RTid = T;
+    Sh.RClk = MyClk;
+  } else {
+    // Promotion: the read vector clock is all zero (RLen == 0).
+    ClockValue *RVC = I->history(Sh);
+    ++TS.Stats.FullClockOps;
+    RVC[Sh.RTid] = Sh.RClk;
+    RVC[T] = MyClk;
+    Sh.RLen = std::max(Sh.RTid, T) + 1;
+  }
 }
 
 void Runtime::onWrite(ThreadId T, uint64_t Addr) {
@@ -609,47 +584,45 @@ void Runtime::onWrite(ThreadId T, uint64_t Addr) {
     TS.EtCounter += Cell + I->Cells[Cell].WClk;
     return;
   }
-
-  if (Cfg.AnalysisMode == Mode::FT) {
-    Shadow &Sh = I->Cells[Cell];
-    ShardLock G(I->Shards, Cell);
-    reclaimCell(Sh, Addr);
-    ClockValue MyClk = TS.C.get(T);
-    if (Sh.WTid == T && Sh.WClk == MyClk)
+  bool FT = Cfg.AnalysisMode == Mode::FT;
+  if (!FT) {
+    if (!Sampled)
       return;
-    ++TS.Stats.RaceChecks;
-    if (Sh.WClk > TS.C.get(Sh.WTid))
-      reportRace(T, Cell, /*OnWrite=*/true);
-    if (Sh.RLen != 0) {
-      ++TS.Stats.FullClockOps;
-      if (!simd::allLeq(Sh.Hist.get(), TS.C.data(), Sh.RLen))
-        reportRace(T, Cell, /*OnWrite=*/true);
+    ++TS.Stats.SampledAccesses;
+    TS.Dirty = true;
+  }
+
+  Shadow &Sh = I->Cells[Cell];
+  ShardLock G(I->Shards, Cell);
+  reclaimCell(Sh, Addr);
+  ClockValue MyClk = FT ? TS.C.get(T) : TS.Epoch;
+  if (FT && Sh.WTid == T && Sh.WClk == MyClk)
+    return;
+  ++TS.Stats.RaceChecks;
+  bool WriteRace = Sh.WClk > knownTime(T, Sh.WTid);
+  bool ReadRace;
+  if (Sh.RLen != 0) {
+    ++TS.Stats.FullClockOps;
+    ReadRace = !dominatesHistory(T, Sh.Hist.get(), Sh.RLen);
+    if (FT) {
+      // FastTrack demotes: this write supersedes the read set. Algorithm 2
+      // keeps Cr_x, so a promoted sampling history stays promoted.
       std::fill_n(Sh.Hist.get(), Sh.RLen, 0);
       Sh.RLen = 0;
       Sh.RTid = 0;
       Sh.RClk = 0;
-    } else if (Sh.RClk > TS.C.get(Sh.RTid)) {
-      reportRace(T, Cell, /*OnWrite=*/true);
     }
-    Sh.WTid = T;
-    Sh.WClk = MyClk;
-    return;
+  } else {
+    ReadRace = Sh.RClk > knownTime(T, Sh.RTid);
   }
-
-  if (!Sampled)
-    return;
-  ++TS.Stats.SampledAccesses;
-  TS.Dirty = true;
-  Shadow &Sh = I->Cells[Cell];
-  ShardLock G(I->Shards, Cell);
-  reclaimCell(Sh, Addr);
-  ++TS.Stats.RaceChecks;
-  ClockValue *H = I->history(Sh);
-  ClockValue *W = H + Cfg.MaxThreads;
-  if (!dominatesHistory(T, H, Sh.RLen) || !dominatesHistory(T, W, Sh.WLen))
+  // FastTrack reports each conflicting history; Algorithm 2 declares the
+  // write once.
+  if (FT && WriteRace && ReadRace)
     reportRace(T, Cell, /*OnWrite=*/true);
-  snapshotEffective(T, W, Sh.WLen);
-  ++TS.Stats.FullClockOps;
+  if (WriteRace || ReadRace)
+    reportRace(T, Cell, /*OnWrite=*/true);
+  Sh.WTid = T;
+  Sh.WClk = MyClk;
 }
 
 //===----------------------------------------------------------------------===//

@@ -278,6 +278,14 @@ void message(Runtime &Rt, ThreadId From, ThreadId To) {
 
 class ShadowCollisions : public ::testing::TestWithParam<Mode> {};
 
+/// Full-clock operations the accesses in \p Body perform: one per read
+/// promotion, and one per write checked against a promoted read history.
+template <typename Fn> uint64_t accessClockOps(Runtime &Rt, Fn Body) {
+  uint64_t Before = Rt.aggregatedMetrics().FullClockOps;
+  Body();
+  return Rt.aggregatedMetrics().FullClockOps - Before;
+}
+
 } // namespace
 
 TEST_P(ShadowCollisions, EvictedHistoryNeverRaces) {
@@ -319,6 +327,46 @@ TEST_P(ShadowCollisions, GenuineRaceSurvivesEvictionCycle) {
   EXPECT_EQ(Rt.racyLocationCount(), 1u);
 }
 
+TEST_P(ShadowCollisions, PromotedHistoryIsForgottenOnReclaim) {
+  Runtime Rt(collidingConfig(GetParam()));
+  auto [X, Y] = collidingAddresses();
+  startThreads(Rt, 7);
+
+  // X's history: 3's write, then concurrent reads by 4 and 5, which
+  // promote the cell's reads to the flat history (prefix [0, 6)).
+  Rt.onWrite(3, X);
+  message(Rt, 3, 4);
+  message(Rt, 3, 5);
+  EXPECT_EQ(accessClockOps(Rt, [&] {
+              Rt.onRead(4, X);
+              Rt.onRead(5, X);
+            }),
+            1u);
+
+  // Y evicts X, and X comes back to an empty, unpromoted history: 6 heard
+  // from none of 3, 4 and 5, so only a leftover could race with its write.
+  Rt.onRead(1, Y);
+  EXPECT_EQ(accessClockOps(Rt, [&] { Rt.onWrite(6, X); }), 0u);
+  EXPECT_EQ(Rt.raceCount(), 0u) << modeName(GetParam());
+
+  // 1 and 2 read after 6's write, concurrently: promoted again, prefix
+  // [0, 3). 7 hears from both and reads, extending the prefix over words 4
+  // and 5; its write is checked against the whole prefix, where only
+  // unzeroed leftovers of 4's and 5's reads could race.
+  message(Rt, 6, 1);
+  message(Rt, 6, 2);
+  EXPECT_EQ(accessClockOps(Rt, [&] {
+              Rt.onRead(1, X);
+              Rt.onRead(2, X);
+            }),
+            1u);
+  message(Rt, 1, 7);
+  message(Rt, 2, 7);
+  Rt.onRead(7, X);
+  EXPECT_EQ(accessClockOps(Rt, [&] { Rt.onWrite(7, X); }), 1u);
+  EXPECT_EQ(Rt.raceCount(), 0u) << modeName(GetParam());
+}
+
 INSTANTIATE_TEST_SUITE_P(AnalysisModes, ShadowCollisions,
                          ::testing::Values(Mode::FT, Mode::ST, Mode::SU,
                                            Mode::SO),
@@ -330,13 +378,9 @@ TEST(ShadowCollisionsFT, ReadSharedPromotionAndDemotionAfterReclaim) {
   Runtime Rt(collidingConfig(Mode::FT));
   auto [X, Y] = collidingAddresses();
   startThreads(Rt, 7);
-  // Full-clock operations the accesses in \p Body perform: one per
-  // read-shared promotion, one per demoting write's compare.
-  auto ClockOps = [&Rt](auto Body) {
-    uint64_t Before = Rt.aggregatedMetrics().FullClockOps;
-    Body();
-    return Rt.aggregatedMetrics().FullClockOps - Before;
-  };
+  // Under FT, a promoted read history is the read-shared vector clock, and
+  // the write checked against it demotes it.
+  auto ClockOps = [&Rt](auto Body) { return accessClockOps(Rt, Body); };
 
   Rt.onRead(1, X);
   Rt.onRead(2, X); // Read-shared {1, 2}.
