@@ -11,11 +11,16 @@
 /// the change-counting join Algorithm 3 charges to U_t(t), and component
 /// sums. All kernels operate on flat uint64_t arrays — the SoA storage of
 /// VectorClock and OrderedList — and are selected once at startup from a
-/// small tier ladder:
+/// small tier ladder, best first:
 ///
-///   - Avx2   x86-64 with AVX2, detected at runtime via cpuid (the binary
-///            itself is built without -mavx2; the kernels carry a target
-///            attribute, so a non-AVX2 host simply never calls them).
+///   - Avx512 x86-64 with AVX-512F, detected at runtime via cpuid. 8 lanes
+///            per step with native unsigned max and compare; tails of 1-7
+///            words run as one masked step.
+///   - Avx2   x86-64 with AVX2, detected the same way. 4 lanes per step;
+///            unsigned order is emulated by sign-flipped signed compares.
+///            Neither x86 tier needs -mavx2/-mavx512f for the binary: the
+///            kernels carry function-level target attributes, so a host
+///            without the extension simply never calls them.
 ///   - Neon   AArch64 (Advanced SIMD is baseline there, so compile-time).
 ///   - Scalar portable fallback, and the reference semantics: every tier
 ///            must be *bit-identical* to it — this is fuzzed by the
@@ -40,16 +45,23 @@
 
 #include <atomic>
 #include <cstddef>
+#include <vector>
 
 namespace sampletrack {
 namespace simd {
 
-/// Kernel implementation tiers, best-first where supported.
-enum class Tier : unsigned { Scalar = 0, Avx2 = 1, Neon = 2 };
+/// Kernel implementation tiers. The values are stable identifiers, not
+/// the ladder order; supportedTiers() gives that.
+enum class Tier : unsigned { Scalar = 0, Avx2 = 1, Neon = 2, Avx512 = 3 };
 
-/// Human-readable tier name ("scalar", "avx2", "neon") for logs and bench
-/// metadata.
+/// Human-readable tier name ("scalar", "avx2", "neon", "avx512") for logs
+/// and bench metadata.
 const char *tierName(Tier T);
+
+/// The tiers this host can execute, best first; always ends with Scalar.
+/// Dispatch picks the front one (unless SAMPLETRACK_FORCE_SCALAR is set),
+/// and the tier-axis tests compare every entry against Scalar.
+std::vector<Tier> supportedTiers();
 
 /// The tier every dispatched call currently uses. Resolved on first use:
 /// the best tier the host supports, unless SAMPLETRACK_FORCE_SCALAR pins
@@ -77,7 +89,7 @@ struct KernelTable {
 const KernelTable *table();
 
 /// Below this element count the inline scalar loop wins over an indirect
-/// call into a vector kernel (AVX2 is 4 lanes; NEON 2).
+/// call into a vector kernel (AVX-512 is 8 lanes; AVX2 4; NEON 2).
 inline constexpr size_t DispatchThreshold = 8;
 
 } // namespace detail

@@ -12,11 +12,14 @@
 // harness's SimdTier axis and ClockTest's width-boundary property cases
 // hold every tier to that contract.
 //
-// uint64 lanes need care on both ISAs: AVX2 has no unsigned 64-bit compare
-// or max, so comparisons run as signed compares after flipping the sign
-// bit (x ^ 2^63 maps unsigned order onto signed order), and max is a
+// uint64 lanes need care on the older ISAs: AVX2 has no unsigned 64-bit
+// compare or max, so comparisons run as signed compares after flipping the
+// sign bit (x ^ 2^63 maps unsigned order onto signed order), and max is a
 // compare + blend. NEON (AArch64) has vcgtq_u64 but likewise no 64-bit
-// max, so the same compare + bit-select shape applies.
+// max, so the same compare + bit-select shape applies. AVX-512F has both
+// natively (vpmaxuq, vpcmpuq into a k-mask), so its tier needs no flips,
+// counts changed lanes by mask popcount, and finishes a 1-7 word tail with
+// one masked load/store step instead of a scalar loop.
 //
 //===----------------------------------------------------------------------===//
 
@@ -167,6 +170,95 @@ __attribute__((target("avx2"))) ClockValue sumAvx2(const ClockValue *V,
 constexpr detail::KernelTable Avx2Table = {joinMaxAvx2, joinMaxCountAvx2,
                                            allLeqAvx2, sumAvx2, Tier::Avx2};
 
+//===----------------------------------------------------------------------===//
+// AVX-512 tier (x86-64 with AVX-512F). Same function-level target attribute
+// scheme as AVX2; 8 lanes per step, masked tails.
+//===----------------------------------------------------------------------===//
+
+/// The low \p R lanes of an 8-lane step, for R in [1, 8).
+inline __mmask8 tailMask(size_t R) {
+  return static_cast<__mmask8>((1u << R) - 1);
+}
+
+/// One join step over the lanes in \p M. The maskz forms of vpmaxuq are
+/// used throughout: the unmasked _mm512_max_epu64 passes GCC 12's
+/// self-initialized "undefined" operand, which -Werror rejects.
+__attribute__((target("avx512f"))) inline void
+joinMaxStep(ClockValue *Dst, const ClockValue *Src, __mmask8 M) {
+  _mm512_mask_storeu_epi64(
+      Dst, M,
+      _mm512_maskz_max_epu64(M, _mm512_maskz_loadu_epi64(M, Dst),
+                             _mm512_maskz_loadu_epi64(M, Src)));
+}
+
+__attribute__((target("avx512f"))) void
+joinMaxAvx512(ClockValue *Dst, const ClockValue *Src, size_t N) {
+  size_t I = 0;
+  for (; I + 8 <= N; I += 8)
+    joinMaxStep(Dst + I, Src + I, 0xFF);
+  if (I < N)
+    joinMaxStep(Dst + I, Src + I, tailMask(N - I));
+}
+
+/// One counting-join step over the lanes in \p M: stores only the lanes of
+/// Src that exceed Dst and returns how many there were. Lanes outside M
+/// load as 0 > 0, so they are never counted or stored.
+__attribute__((target("avx512f"))) inline unsigned
+joinMaxCountStep(ClockValue *Dst, const ClockValue *Src, __mmask8 M) {
+  __m512i S = _mm512_maskz_loadu_epi64(M, Src);
+  __mmask8 Gt = _mm512_cmpgt_epu64_mask(S, _mm512_maskz_loadu_epi64(M, Dst));
+  _mm512_mask_storeu_epi64(Dst, Gt, S);
+  return static_cast<unsigned>(__builtin_popcount(Gt));
+}
+
+__attribute__((target("avx512f"))) unsigned
+joinMaxCountAvx512(ClockValue *Dst, const ClockValue *Src, size_t N) {
+  unsigned Changed = 0;
+  size_t I = 0;
+  for (; I + 8 <= N; I += 8)
+    Changed += joinMaxCountStep(Dst + I, Src + I, 0xFF);
+  if (I < N)
+    Changed += joinMaxCountStep(Dst + I, Src + I, tailMask(N - I));
+  return Changed;
+}
+
+__attribute__((target("avx512f"))) bool
+allLeqAvx512(const ClockValue *A, const ClockValue *B, size_t N) {
+  size_t I = 0;
+  for (; I + 8 <= N; I += 8)
+    if (_mm512_cmpgt_epu64_mask(_mm512_loadu_si512(A + I),
+                                _mm512_loadu_si512(B + I)))
+      return false;
+  if (I < N) {
+    __mmask8 M = tailMask(N - I);
+    return !_mm512_cmpgt_epu64_mask(_mm512_maskz_loadu_epi64(M, A + I),
+                                    _mm512_maskz_loadu_epi64(M, B + I));
+  }
+  return true;
+}
+
+__attribute__((target("avx512f"))) ClockValue
+sumAvx512(const ClockValue *V, size_t N) {
+  __m512i Acc = _mm512_setzero_si512();
+  size_t I = 0;
+  for (; I + 8 <= N; I += 8)
+    Acc = _mm512_add_epi64(Acc, _mm512_loadu_si512(V + I));
+  if (I < N)
+    Acc = _mm512_add_epi64(Acc,
+                           _mm512_maskz_loadu_epi64(tailMask(N - I), V + I));
+  // Lane store rather than _mm512_reduce_add_epi64, whose GCC 12 expansion
+  // trips the same -Werror=uninitialized as the unmasked max.
+  alignas(64) ClockValue Lanes[8];
+  _mm512_store_si512(Lanes, Acc);
+  ClockValue S = 0;
+  for (ClockValue L : Lanes)
+    S += L;
+  return S;
+}
+
+constexpr detail::KernelTable Avx512Table = {
+    joinMaxAvx512, joinMaxCountAvx512, allLeqAvx512, sumAvx512, Tier::Avx512};
+
 #endif // SAMPLETRACK_SIMD_X86
 
 //===----------------------------------------------------------------------===//
@@ -244,6 +336,12 @@ bool hostSupports(Tier T) {
   switch (T) {
   case Tier::Scalar:
     return true;
+  case Tier::Avx512:
+#if SAMPLETRACK_SIMD_X86
+    return __builtin_cpu_supports("avx512f") != 0;
+#else
+    return false;
+#endif
   case Tier::Avx2:
 #if SAMPLETRACK_SIMD_X86
     return __builtin_cpu_supports("avx2") != 0;
@@ -263,6 +361,8 @@ bool hostSupports(Tier T) {
 const detail::KernelTable *tableFor(Tier T) {
   switch (T) {
 #if SAMPLETRACK_SIMD_X86
+  case Tier::Avx512:
+    return &Avx512Table;
   case Tier::Avx2:
     return &Avx2Table;
 #endif
@@ -284,11 +384,7 @@ bool forceScalarFromEnv() {
 const detail::KernelTable *resolveBest() {
   if (forceScalarFromEnv())
     return &ScalarTable;
-  if (hostSupports(Tier::Avx2))
-    return tableFor(Tier::Avx2);
-  if (hostSupports(Tier::Neon))
-    return tableFor(Tier::Neon);
-  return &ScalarTable;
+  return tableFor(simd::supportedTiers().front());
 }
 
 /// The active table. Resolved once (racing resolvers agree on the answer,
@@ -310,12 +406,23 @@ const char *simd::tierName(Tier T) {
   switch (T) {
   case Tier::Scalar:
     return "scalar";
+  case Tier::Avx512:
+    return "avx512";
   case Tier::Avx2:
     return "avx2";
   case Tier::Neon:
     return "neon";
   }
   return "unknown";
+}
+
+std::vector<Tier> simd::supportedTiers() {
+  // The ladder, best first; scalar always runs, so the list is never empty.
+  std::vector<Tier> Tiers;
+  for (Tier T : {Tier::Avx512, Tier::Avx2, Tier::Neon, Tier::Scalar})
+    if (hostSupports(T))
+      Tiers.push_back(T);
+  return Tiers;
 }
 
 Tier simd::activeTier() { return detail::table()->T; }

@@ -102,8 +102,9 @@ void checkTrace(const TraceBuilder &B, const std::vector<size_t> &Expected,
     EXPECT_EQ(R.Declared, Expected) << engineKindName(K);
     // No fast path: every sampled access is checked.
     EXPECT_EQ(R.Stats.RaceChecks, Accesses) << engineKindName(K);
-    if (K == EngineKind::SamplingNaive)
+    if (K == EngineKind::SamplingNaive) {
       EXPECT_EQ(R.Stats.FullClockOps - B.SyncEvents, AccessClockOps);
+    }
   }
 }
 

@@ -20,6 +20,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -332,8 +334,8 @@ TEST(TreeClock, RandomJoinsMatchVectorClocks) {
 //===----------------------------------------------------------------------===//
 // SIMD kernel tiers: every tier the host supports must be bit-identical to
 // scalar on every public clock operation, at widths straddling the vector
-// boundaries (AVX2 = 4 lanes, NEON = 2), including the override and
-// counting variants and the OrderedList interop paths.
+// boundaries (AVX-512 = 8 lanes, AVX2 = 4, NEON = 2), including the
+// override and counting variants and the OrderedList interop paths.
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -351,21 +353,24 @@ private:
   bool Ok;
 };
 
-/// Tiers worth testing on this host beyond scalar. Restores whatever tier
-/// was active before probing.
+/// Tiers worth testing on this host beyond scalar, best first. Logs them
+/// under the running test's name, so a log shows which tiers were compared
+/// (a tier the host lacks is skipped silently otherwise).
 std::vector<simd::Tier> hostSimdTiers() {
-  simd::Tier Before = simd::activeTier();
-  std::vector<simd::Tier> Tiers;
-  for (simd::Tier T : {simd::Tier::Avx2, simd::Tier::Neon})
-    if (simd::forceTier(T))
-      Tiers.push_back(T);
-  simd::forceTier(Before);
+  std::vector<simd::Tier> Tiers = simd::supportedTiers();
+  Tiers.pop_back(); // Scalar, the reference.
+  std::string Names;
+  for (simd::Tier T : Tiers)
+    Names += std::string(" ") + simd::tierName(T);
+  std::printf("[ tiers    ] %s: scalar vs%s\n",
+              testing::UnitTest::GetInstance()->current_test_info()->name(),
+              Tiers.empty() ? " (none)" : Names.c_str());
   return Tiers;
 }
 
 /// A random clock of width N. Mostly small values with zero runs (the
-/// realistic mostly-idle shape), plus occasional huge values to exercise
-/// the unsigned-compare sign-flip path above 2^63.
+/// realistic mostly-idle shape), plus occasional huge values above 2^63,
+/// where a tier that compares signed instead of unsigned gets it wrong.
 VectorClock randomClock(SplitMix64 &Rng, size_t N) {
   VectorClock C(N);
   for (ThreadId T = 0; T < N; ++T) {
@@ -387,9 +392,10 @@ TEST(SimdKernels, AllTiersMatchScalarAcrossWidthBoundaries) {
   if (Tiers.empty())
     GTEST_SKIP() << "host supports no SIMD tier; scalar is the only tier";
   SplitMix64 Rng(2025);
-  // T=1..17 straddles both the NEON (2) and AVX2 (4) lane widths and the
-  // inline-scalar dispatch threshold.
-  for (size_t N = 1; N <= 17; ++N) {
+  // T=1..33 straddles the NEON (2), AVX2 (4) and AVX-512 (8) lane widths
+  // and the inline-scalar dispatch threshold: every 8-lane masked tail
+  // length follows one, two and three full 8-lane steps.
+  for (size_t N = 1; N <= 33; ++N) {
     for (int Iter = 0; Iter < 60; ++Iter) {
       VectorClock A = randomClock(Rng, N);
       VectorClock B = randomClock(Rng, N);
@@ -440,7 +446,7 @@ TEST(SimdKernels, OrderedListInteropMatchesScalar) {
   if (Tiers.empty())
     GTEST_SKIP() << "host supports no SIMD tier; scalar is the only tier";
   SplitMix64 Rng(777);
-  for (size_t N = 1; N <= 17; ++N) {
+  for (size_t N = 1; N <= 33; ++N) {
     for (int Iter = 0; Iter < 40; ++Iter) {
       OrderedList O(N);
       for (int Op = 0; Op < 24; ++Op) {
@@ -491,7 +497,7 @@ TEST(SimdKernels, AllLeqWithOverrideMatchesScalarReference) {
     return true;
   };
   SplitMix64 Rng(1414);
-  for (size_t N = 1; N <= 17; ++N) {
+  for (size_t N = 1; N <= 33; ++N) {
     for (int Iter = 0; Iter < 60; ++Iter) {
       // C dominates H except, sometimes, at one component, so both verdicts
       // and the override's deciding role all occur.

@@ -30,7 +30,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
+#include <string>
 
 using namespace sampletrack;
 
@@ -105,6 +107,25 @@ Trace randomTrace(SplitMix64 &Rng) {
     return T;
   }
   }
+}
+
+/// A generated workload with 9..72 threads, so clock passes reach the
+/// dispatched SIMD kernels (randomTrace stays mostly under their 8-wide
+/// threshold). \p Threads = 0 draws the width.
+Trace wideTrace(SplitMix64 &Rng, size_t Threads = 0) {
+  GenConfig C;
+  C.NumThreads = Threads ? Threads : 9 + Rng.nextBelow(64);
+  C.NumLocks = 1 + Rng.nextBelow(16);
+  C.NumVars = 16 + Rng.nextBelow(128);
+  C.NumEvents = 400 + Rng.nextBelow(1200);
+  C.AccessFraction = 0.1 + Rng.nextDouble() * 0.8;
+  C.UnprotectedFraction = Rng.nextDouble() * 0.2;
+  C.EmptyCsFraction = Rng.nextDouble() * 0.6;
+  C.SelfReacquireBias = Rng.nextDouble();
+  C.MaxNesting = 1 + Rng.nextBelow(3);
+  C.MeanBurst = 1 + Rng.nextBelow(12);
+  C.Seed = Rng.next();
+  return generateWorkload(C);
 }
 
 /// Marks T using a randomly chosen sampler family.
@@ -455,20 +476,24 @@ TEST(DifferentialFuzz, SessionFanOutMatchesStandaloneRunsLaneByLane) {
 }
 
 //===----------------------------------------------------------------------===//
-// The SIMD tier axis: the clock kernels (AVX2/NEON vs scalar) sit under
-// every detector's joins, comparisons and snapshots, so whole-session
+// The SIMD tier axis: the clock kernels (AVX-512/AVX2/NEON vs scalar) sit
+// under every detector's joins, comparisons and snapshots, so whole-session
 // results must be bit-identical whichever tier executes — across the
-// worker axis too, since it reshuffles which threads run the kernels. This is the differential proof the vectorized tiers rest on;
-// CI's force-scalar leg runs the same binary with the scalar tier pinned.
+// worker axis too, since it reshuffles which threads run the kernels. This
+// is the differential proof the vectorized tiers rest on; CI's
+// force-scalar leg runs the same binary with the scalar tier pinned.
 //===----------------------------------------------------------------------===//
 
 TEST(DifferentialFuzz, SimdTiersBitIdenticalToScalarAcrossSessions) {
-  std::vector<simd::Tier> Tiers;
+  std::vector<simd::Tier> Tiers = simd::supportedTiers();
+  Tiers.pop_back(); // Scalar, the reference.
   simd::Tier Native = simd::activeTier();
-  for (simd::Tier T : {simd::Tier::Avx2, simd::Tier::Neon})
-    if (simd::forceTier(T))
-      Tiers.push_back(T);
-  simd::forceTier(Native);
+  std::string Names;
+  for (simd::Tier T : Tiers)
+    Names += std::string(" ") + simd::tierName(T);
+  std::printf("[ tiers    ] SimdTiersBitIdenticalToScalarAcrossSessions: "
+              "scalar vs%s\n",
+              Tiers.empty() ? " (none)" : Names.c_str());
   if (Tiers.empty())
     GTEST_SKIP() << "host supports no SIMD tier; the scalar tier is "
                     "trivially identical to itself";
@@ -479,7 +504,17 @@ TEST(DifferentialFuzz, SimdTiersBitIdenticalToScalarAcrossSessions) {
   const size_t WorkerAxis[] = {0, 2};
   const int Cases = fuzzCases(12);
   for (int Case = 0; Case < Cases; ++Case) {
-    Trace T = randomTrace(Rng);
+    // Even cases are wide enough to reach the kernels: the first at T = 64
+    // (the benchmark's width), the second at a T with a masked 8-lane tail.
+    Trace T;
+    if (Case % 2)
+      T = randomTrace(Rng);
+    else if (Case == 0)
+      T = wideTrace(Rng, 64);
+    else if (Case == 2)
+      T = wideTrace(Rng, 9 + 8 * Rng.nextBelow(8) + Rng.nextBelow(7));
+    else
+      T = wideTrace(Rng);
     ASSERT_TRUE(T.validate()) << "case " << Case;
 
     api::SessionConfig Base;
