@@ -17,16 +17,21 @@
 ///  - FT: FastTrack full analysis (Full-TSan),
 ///  - ST/SU/SO: the paper's sampling engines at a configurable rate.
 ///
-/// Concurrency discipline (mirrors TSan's): a thread's clocks are owned by
-/// that thread; each sync object's state is guarded by its own mutex (the
-/// analysis work there nests inside the application's critical section,
-/// which is exactly how vanilla timestamping "exacerbates existing lock
-/// contention"); shadow cells live in a sharded hash table with per-shard
-/// mutexes. SO's shared ordered lists are immutable once published
-/// (copy-on-write), so references can be handed across threads under the
-/// sync mutex alone.
+/// Concurrency discipline (mirrors TSan's): a thread's clocks, metrics and
+/// race-sink shard are owned by that thread. Each sync object and each
+/// shadow cell carries its own 4-byte lock word, a spin lock that every
+/// hook touching that object or cell holds for its whole analysis step
+/// (the sync work nests inside the application's critical section, which
+/// is exactly how vanilla timestamping "exacerbates existing lock
+/// contention"). Two hooks contend only when they share a sync object or
+/// a cell, and no hook calls into pthreads. Every guarded step is short and
+/// never sleeps, apart from the allocator and the SnapshotPool, so waiters
+/// spin and yield rather than park. SO's shared ordered lists are immutable
+/// once published (copy-on-write), so references can be handed across
+/// threads under the sync object's lock alone.
 ///
-/// Shadow layout: a cell is 48 bytes, a write epoch and a read epoch plus a
+/// Shadow layout: a cell is 48 bytes, a write epoch and a read epoch, its
+/// owner address, its lock word (in what would be tail padding) and a
 /// pointer to one flat read history of MaxThreads words, allocated when two
 /// unordered reads first meet on the cell (FT's read-shared vector clock,
 /// or the sampling modes' Cr_x). Every engine's write history is the epoch
@@ -54,7 +59,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 namespace sampletrack {
@@ -86,12 +90,11 @@ struct Config {
   /// uses a fixed 256-slot clock; we default lower to match our workloads).
   /// The runtime raises 0 to 1: thread 0 is always pre-registered.
   size_t MaxThreads = 64;
-  /// Number of shadow cells (addresses are hashed into this space). The
-  /// runtime raises it to at least ShadowShards.
+  /// Number of shadow cells (addresses are hashed into this space). Each
+  /// cell carries its own lock, so this is also the number of locks on the
+  /// access path. The runtime raises 0 to 1. \ref Runtime::config reports
+  /// the values in use.
   size_t ShadowCells = 1 << 16;
-  /// Number of shard mutexes protecting the shadow table. The runtime
-  /// raises 0 to 1. \ref Runtime::config reports the values in use.
-  size_t ShadowShards = 256;
   /// Record every hook invocation as an offline trace event (under a global
   /// mutex — slow; for debugging and cross-validation against the offline
   /// engines). Access events carry their sampling decision in the Marked
@@ -165,7 +168,9 @@ public:
   // -- Results ----------------------------------------------------------
   /// Total races declared (cheap, atomic).
   uint64_t raceCount() const;
-  /// Distinct racy shadow cells ("racy locations", Fig. 6(a)).
+  /// Distinct racy shadow cells ("racy locations", Fig. 6(a)): the union
+  /// of the per-thread racy-cell sets. Call only when no hooks are running
+  /// (like triageSummary).
   size_t racyLocationCount() const;
   /// Deduplicated race warehouse view: per-thread sink shards merged in
   /// thread order. Call only when no hooks are running (like
@@ -196,10 +201,11 @@ private:
   struct Shadow;
   struct Impl;
 
-  /// Records a race (atomic counter plus racy-cell set).
+  /// Records a race: the atomic counter, plus thread \p T's race-sink shard
+  /// and racy-cell set. Called with the cell's lock held.
   void reportRace(ThreadId T, uint64_t Cell, bool OnWrite);
   /// Direct-mapped shadow ownership: claims the cell for \p Addr, dropping
-  /// a colliding address's history (see Shadow::Owner). Shard lock held.
+  /// a colliding address's history (see Shadow::Owner). Cell lock held.
   void reclaimCell(Shadow &Sh, uint64_t Addr);
   /// Thread \p T's knowledge of thread \p Of's time: C_t(Of) under FT,
   /// the effective clock component C_t[t -> e_t](Of) in the sampling modes.

@@ -12,6 +12,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
+#include <thread>
+#include <unordered_set>
 
 using namespace sampletrack;
 using namespace sampletrack::rt;
@@ -55,13 +57,51 @@ using ListRef = SnapshotPool<OrderedList>::Ref;
 using ListSnapshot = SnapshotPool<OrderedList>::ConstRef;
 
 /// \p C with its sizing fields raised to what the tables can index: one
-/// thread (thread 0 is pre-registered), one shard, one cell per shard.
+/// thread (thread 0 is pre-registered) and one shadow cell.
 Config normalized(Config C) {
   C.MaxThreads = std::max<size_t>(C.MaxThreads, 1);
-  C.ShadowShards = std::max<size_t>(C.ShadowShards, 1);
-  C.ShadowCells = std::max(C.ShadowCells, C.ShadowShards);
+  C.ShadowCells = std::max<size_t>(C.ShadowCells, 1);
   return C;
 }
+
+/// Tells the CPU the caller is spin-waiting (frees the sibling hyperthread
+/// and avoids the memory-order flush on exit); a no-op where none exists.
+inline void cpuRelax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+/// A one-word test-and-test-and-set lock guarding one shadow cell or one
+/// sync object. Every critical section it guards is short and never sleeps
+/// (O(1) epoch checks, O(T) history checks, clock joins and copies), so a
+/// waiter spins on a plain load, with a pause hint, and only yields its
+/// time slice after MaxSpins failed reads (the holder was preempted).
+class SpinLock {
+public:
+  void lock() {
+    unsigned Spins = 0;
+    while (Word.exchange(1, std::memory_order_acquire)) {
+      while (Word.load(std::memory_order_relaxed)) {
+        if (++Spins < MaxSpins) {
+          cpuRelax();
+        } else {
+          Spins = 0;
+          std::this_thread::yield();
+        }
+      }
+    }
+  }
+  void unlock() { Word.store(0, std::memory_order_release); }
+
+private:
+  static constexpr unsigned MaxSpins = 128;
+  std::atomic<uint32_t> Word{0};
+};
+
+static_assert(sizeof(SpinLock) == 4, "one word per cell and sync object");
 
 /// Claims the next dense id below \p Limit from \p Next into \p Id. Fails
 /// once the ids are exhausted; the counter then stays at \p Limit, so it
@@ -116,6 +156,10 @@ struct Runtime::ThreadState {
   /// lock-free (single-writer, like every other ThreadState member) and
   /// Runtime::triageSummary merges the shards when the run is quiescent.
   triage::RaceSink Sink;
+  /// The shadow cells this thread declared races on, merged by
+  /// Runtime::racyLocationCount, so that a race report inside a cell's
+  /// critical section never waits on a process-wide lock.
+  std::unordered_set<uint64_t> RacyCells;
 
   /// Scratch clock for snapshots (avoids allocation in hooks).
   VectorClock Scratch;
@@ -125,10 +169,12 @@ struct Runtime::ThreadState {
   bool sampleNext() { return Rng.nextBool(SamplingRate); }
 };
 
-/// Per-sync-object state, guarded by its own mutex. The analysis work done
-/// while holding M nests inside the application's critical section.
+/// Per-sync-object state, guarded by its own lock word. The analysis work
+/// done while holding Lock nests inside the application's critical section.
+/// A 4-byte SpinLock rather than a 40-byte std::mutex (glibc, x86-64): no
+/// hook calls into pthreads, and the 16K-entry table is 512 KiB smaller.
 struct Runtime::SyncState {
-  std::mutex M;
+  SpinLock Lock;
   /// FT/ST: the sync clock. SU: sync clock plus freshness clock.
   VectorClock C, U;
   ThreadId LastReleaser = NoThread;
@@ -174,18 +220,22 @@ struct Runtime::Shadow {
   /// Active prefix of the read history buffer. The reads are promoted
   /// exactly when this is nonzero: a promotion stores two nonzero epochs.
   uint32_t RLen = 0;
+  /// Guards every field above. It takes the four bytes of tail padding the
+  /// three 32-bit fields leave after the 8-byte-aligned words, so the cell
+  /// stays 48 bytes and no two hooks share a lock unless they share a cell.
+  SpinLock Lock;
 };
 
 struct Runtime::Impl {
   explicit Impl(const Config &C)
       : HistWords(C.MaxThreads), Threads(C.MaxThreads), Syncs(MaxSyncs),
-        Cells(C.ShadowCells), Shards(C.ShadowShards) {
+        Cells(C.ShadowCells) {
     ListPool.setEnabled(C.PoolingEnabled);
     if (C.ProfilingEnabled)
       Prof = std::make_unique<prof::Profiler>();
   }
 
-  static_assert(sizeof(Shadow) <= 48, "the shadow table is 64K cells");
+  static_assert(sizeof(Shadow) == 48, "the shadow table is 64K cells");
 
   /// Self-profiler (null unless Config::ProfilingEnabled). Trees are
   /// per-thread and single-writer; makeTree itself is mutex-protected, so
@@ -211,14 +261,10 @@ struct Runtime::Impl {
   std::vector<ThreadState> Threads;
   std::vector<SyncState> Syncs;
   std::vector<Shadow> Cells;
-  std::vector<std::mutex> Shards;
 
   std::atomic<uint32_t> NextThread{0};
   std::atomic<uint32_t> NextSync{0};
   std::atomic<uint64_t> Races{0};
-
-  std::mutex RacyMu;
-  std::unordered_set<uint64_t> RacyCells;
 
   std::mutex RecMu;
   std::vector<Event> Recorded;
@@ -311,8 +357,11 @@ uint64_t Runtime::distinctRaceCount() const {
 }
 
 size_t Runtime::racyLocationCount() const {
-  std::lock_guard<std::mutex> G(I->RacyMu);
-  return I->RacyCells.size();
+  std::unordered_set<uint64_t> Cells;
+  for (const ThreadState &TS : I->Threads)
+    if (TS.Registered)
+      Cells.insert(TS.RacyCells.begin(), TS.RacyCells.end());
+  return Cells.size();
 }
 
 prof::Report Runtime::profileReport() const {
@@ -330,13 +379,6 @@ Metrics Runtime::aggregatedMetrics() const {
 }
 
 namespace {
-
-/// RAII helper locking the shard that guards a shadow cell.
-struct ShardLock {
-  ShardLock(std::vector<std::mutex> &Shards, size_t Cell)
-      : G(Shards[Cell % Shards.size()]) {}
-  std::lock_guard<std::mutex> G;
-};
 
 /// Times one access-hook body into the thread's span tree, aggregate-only:
 /// access hooks fire millions of times per run, so no per-invocation
@@ -395,8 +437,7 @@ void Runtime::reportRace(ThreadId T, uint64_t Cell, bool OnWrite) {
   TS.Sink.insert(RaceReport{TS.Stats.Events, T, Cell,
                             OnWrite ? OpKind::Write : OpKind::Read});
   I->Races.fetch_add(1, std::memory_order_relaxed);
-  std::lock_guard<std::mutex> G(I->RacyMu);
-  I->RacyCells.insert(Cell);
+  TS.RacyCells.insert(Cell);
 }
 
 ClockValue Runtime::knownTime(ThreadId T, ThreadId Of) {
@@ -536,7 +577,7 @@ void Runtime::onRead(ThreadId T, uint64_t Addr) {
   }
 
   Shadow &Sh = I->Cells[Cell];
-  ShardLock G(I->Shards, Cell);
+  std::lock_guard<SpinLock> G(Sh.Lock);
   reclaimCell(Sh, Addr);
   ClockValue MyClk = FT ? TS.C.get(T) : TS.Epoch;
   // FastTrack's same-epoch fast path. Algorithm 2 has none: every sampled
@@ -593,7 +634,7 @@ void Runtime::onWrite(ThreadId T, uint64_t Addr) {
   }
 
   Shadow &Sh = I->Cells[Cell];
-  ShardLock G(I->Shards, Cell);
+  std::lock_guard<SpinLock> G(Sh.Lock);
   reclaimCell(Sh, Addr);
   ClockValue MyClk = FT ? TS.C.get(T) : TS.Epoch;
   if (FT && Sh.WTid == T && Sh.WClk == MyClk)
@@ -648,7 +689,7 @@ void Runtime::onAcquire(ThreadId T, SyncId L) {
   switch (Cfg.AnalysisMode) {
   case Mode::FT:
   case Mode::ST: {
-    std::lock_guard<std::mutex> G(S.M);
+    std::lock_guard<SpinLock> G(S.Lock);
     if (!S.Initialized) {
       ++TS.Stats.AcquiresSkipped;
       return;
@@ -659,7 +700,7 @@ void Runtime::onAcquire(ThreadId T, SyncId L) {
     return;
   }
   case Mode::SU: {
-    std::lock_guard<std::mutex> G(S.M);
+    std::lock_guard<SpinLock> G(S.Lock);
     if (!S.Initialized) {
       ++TS.Stats.AcquiresSkipped;
       return;
@@ -685,20 +726,20 @@ void Runtime::onAcquire(ThreadId T, SyncId L) {
   }
   case Mode::SO: {
     // Only the scalar freshness check and the O(1) snapshot read happen
-    // under the sync mutex, so a skipped acquire never takes a snapshot
+    // under the sync lock, so a skipped acquire never takes a snapshot
     // reference; the prefix traversal works on immutable data and
     // thread-owned state.
     ListSnapshot Ref;
     ThreadId LR = NoThread;
     ClockValue D = 0, OwnAtRel = 0;
     {
-      std::lock_guard<std::mutex> G(S.M);
+      std::lock_guard<SpinLock> G(S.Lock);
       if (!S.Initialized || (!S.MultiSource && S.LastReleaser == NoThread)) {
         ++TS.Stats.AcquiresSkipped;
         return;
       }
       if (S.MultiSource) {
-        // Blended content: unoptimized full join under the sync mutex
+        // Blended content: unoptimized full join under the sync lock
         // (A.2 — "no innovations can be adopted" on this path).
         ++TS.Stats.AcquiresProcessed;
         TS.U.joinWith(S.U);
@@ -762,7 +803,7 @@ void Runtime::onRelease(ThreadId T, SyncId L) {
   switch (Cfg.AnalysisMode) {
   case Mode::FT: {
     {
-      std::lock_guard<std::mutex> G(S.M);
+      std::lock_guard<SpinLock> G(S.Lock);
       if (!S.Initialized) {
         S.C = VectorClock(Cfg.MaxThreads);
         S.Initialized = true;
@@ -776,7 +817,7 @@ void Runtime::onRelease(ThreadId T, SyncId L) {
   }
   case Mode::ST: {
     flushLocalEpoch(T);
-    std::lock_guard<std::mutex> G(S.M);
+    std::lock_guard<SpinLock> G(S.Lock);
     if (!S.Initialized) {
       S.C = VectorClock(Cfg.MaxThreads);
       S.Initialized = true;
@@ -788,7 +829,7 @@ void Runtime::onRelease(ThreadId T, SyncId L) {
   }
   case Mode::SU: {
     flushLocalEpoch(T);
-    std::lock_guard<std::mutex> G(S.M);
+    std::lock_guard<SpinLock> G(S.Lock);
     if (!S.Initialized) {
       S.C = VectorClock(Cfg.MaxThreads);
       S.U = VectorClock(Cfg.MaxThreads);
@@ -813,11 +854,11 @@ void Runtime::onRelease(ThreadId T, SyncId L) {
   case Mode::SO: {
     flushLocalEpoch(T);
     // Publish-then-mark-shared must be atomic w.r.t. acquirers, but both
-    // writes are thread/sync local: the snapshot goes under the sync mutex,
+    // writes are thread/sync local: the snapshot goes under the sync lock,
     // the shared flag is thread-owned.
     TS.ListShared = true;
     ++TS.Stats.ShallowCopies;
-    std::lock_guard<std::mutex> G(S.M);
+    std::lock_guard<SpinLock> G(S.Lock);
     S.Ref = TS.O;
     S.LastReleaser = T;
     S.UScalar = TS.U.get(T);
@@ -963,7 +1004,7 @@ void Runtime::onReleaseStore(ThreadId T, SyncId Sid) {
   switch (Cfg.AnalysisMode) {
   case Mode::FT: {
     {
-      std::lock_guard<std::mutex> G(S.M);
+      std::lock_guard<SpinLock> G(S.Lock);
       if (!S.Initialized) {
         S.C = VectorClock(Cfg.MaxThreads);
         S.Initialized = true;
@@ -978,7 +1019,7 @@ void Runtime::onReleaseStore(ThreadId T, SyncId Sid) {
   }
   case Mode::ST: {
     flushLocalEpoch(T);
-    std::lock_guard<std::mutex> G(S.M);
+    std::lock_guard<SpinLock> G(S.Lock);
     if (!S.Initialized) {
       S.C = VectorClock(Cfg.MaxThreads);
       S.Initialized = true;
@@ -991,7 +1032,7 @@ void Runtime::onReleaseStore(ThreadId T, SyncId Sid) {
   }
   case Mode::SU: {
     flushLocalEpoch(T);
-    std::lock_guard<std::mutex> G(S.M);
+    std::lock_guard<SpinLock> G(S.Lock);
     if (!S.Initialized) {
       S.C = VectorClock(Cfg.MaxThreads);
       S.U = VectorClock(Cfg.MaxThreads);
@@ -1026,7 +1067,7 @@ void Runtime::onReleaseStore(ThreadId T, SyncId Sid) {
     TS.ListShared = true;
     ++TS.Stats.ShallowCopies;
     {
-      std::lock_guard<std::mutex> G(S.M);
+      std::lock_guard<SpinLock> G(S.Lock);
       S.Ref = TS.O;
       S.LastReleaser = T;
       S.UScalar = TS.U.get(T);
@@ -1060,7 +1101,7 @@ void Runtime::onReleaseJoin(ThreadId T, SyncId Sid) {
   switch (Cfg.AnalysisMode) {
   case Mode::FT: {
     {
-      std::lock_guard<std::mutex> G(S.M);
+      std::lock_guard<SpinLock> G(S.Lock);
       if (!S.Initialized) {
         S.C = VectorClock(Cfg.MaxThreads);
         S.Initialized = true;
@@ -1073,7 +1114,7 @@ void Runtime::onReleaseJoin(ThreadId T, SyncId Sid) {
   }
   case Mode::ST: {
     flushLocalEpoch(T);
-    std::lock_guard<std::mutex> G(S.M);
+    std::lock_guard<SpinLock> G(S.Lock);
     if (!S.Initialized) {
       S.C = VectorClock(Cfg.MaxThreads);
       S.Initialized = true;
@@ -1084,7 +1125,7 @@ void Runtime::onReleaseJoin(ThreadId T, SyncId Sid) {
   }
   case Mode::SU: {
     flushLocalEpoch(T);
-    std::lock_guard<std::mutex> G(S.M);
+    std::lock_guard<SpinLock> G(S.Lock);
     if (!S.Initialized) {
       S.C = VectorClock(Cfg.MaxThreads);
       S.U = VectorClock(Cfg.MaxThreads);
@@ -1101,7 +1142,7 @@ void Runtime::onReleaseJoin(ThreadId T, SyncId Sid) {
   }
   case Mode::SO: {
     flushLocalEpoch(T);
-    std::lock_guard<std::mutex> G(S.M);
+    std::lock_guard<SpinLock> G(S.Lock);
     if (S.C.size() == 0) {
       S.C = VectorClock(Cfg.MaxThreads);
       S.U = VectorClock(Cfg.MaxThreads);

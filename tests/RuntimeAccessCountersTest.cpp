@@ -79,7 +79,6 @@ TEST_P(RuntimeAccessCounters, ReplayMatchesPinnedCounters) {
   Cfg.Seed = 7;
   Cfg.MaxThreads = T.numThreads();
   Cfg.ShadowCells = C.ShadowCells;
-  Cfg.ShadowShards = 16;
   rt::Runtime Rt(Cfg);
   test::replayThroughHooks(Rt, T);
 

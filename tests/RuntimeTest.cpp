@@ -21,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <memory>
 #include <thread>
 #include <utility>
@@ -225,6 +226,83 @@ TEST(RuntimeSampling, SamplingSkipsReduceSyncWork) {
 }
 
 //===----------------------------------------------------------------------===//
+// Hook contention: the other multi-threaded cases hold an application
+// lock around their accesses or make one access per thread, so two hooks
+// rarely meet on one shadow cell. Here eight threads hammer one address
+// and one sync object with no application lock at all: the runtime's own
+// per-cell and per-sync locks are all that keeps the hooks apart (TSan
+// sees any lapse), and the per-thread counters must still add up exactly.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+class HookContention : public ::testing::TestWithParam<Mode> {};
+
+} // namespace
+
+TEST_P(HookContention, UnlockedHooksOnOneCellAndOneSyncObject) {
+  constexpr ThreadId NumThreads = 8;
+  constexpr uint64_t Rounds = 2000;
+  // Only the hooks see this address; nothing reads or writes it.
+  constexpr uint64_t Addr = 0x1000;
+  const Mode M = GetParam();
+  Runtime Rt(makeConfig(M));
+  SyncId S = Rt.registerSync();
+  std::vector<ThreadId> Tids;
+  for (ThreadId I = 0; I < NumThreads; ++I) {
+    Tids.push_back(Rt.registerThread());
+    Rt.onFork(0, Tids.back());
+  }
+
+  std::atomic<size_t> Waiting{NumThreads};
+  std::vector<std::thread> Workers;
+  for (ThreadId T : Tids)
+    Workers.emplace_back([&, T] {
+      // Start together so the hooks overlap from the first round.
+      Waiting.fetch_sub(1);
+      while (Waiting.load() != 0)
+        std::this_thread::yield();
+      for (uint64_t R = 0; R < Rounds; ++R) {
+        Rt.onWrite(T, Addr);
+        Rt.onRead(T, Addr);
+        Rt.onReleaseStore(T, S);
+        Rt.onAcquireLoad(T, S);
+      }
+    });
+  for (std::thread &W : Workers)
+    W.join();
+  for (ThreadId T : Tids)
+    Rt.onJoin(0, T);
+
+  const uint64_t Accesses = 2 * NumThreads * Rounds;
+  Metrics Agg = Rt.aggregatedMetrics();
+  EXPECT_EQ(Agg.Accesses, Accesses);
+  // A fork counts as a release and a join as an acquire.
+  EXPECT_EQ(Agg.ReleasesTotal, NumThreads * Rounds + NumThreads);
+  EXPECT_EQ(Agg.AcquiresTotal, NumThreads * Rounds + NumThreads);
+  if (M == Mode::FT) {
+    EXPECT_EQ(Agg.SampledAccesses, 0u);
+    EXPECT_GT(Agg.RaceChecks, 0u);
+    EXPECT_LE(Agg.RaceChecks, Accesses);
+  } else {
+    // Rate 1.0 samples every access, and Algorithm 2 checks each one.
+    EXPECT_EQ(Agg.SampledAccesses, Accesses);
+    EXPECT_EQ(Agg.RaceChecks, Accesses);
+  }
+  // A thread's first write precedes its first acquire, so it is unordered
+  // with every earlier thread's accesses to the address.
+  EXPECT_GT(Rt.raceCount(), 0u);
+  EXPECT_EQ(Rt.racyLocationCount(), 1u);
+}
+
+INSTANTIATE_TEST_SUITE_P(AnalysisModes, HookContention,
+                         ::testing::Values(Mode::FT, Mode::ST, Mode::SU,
+                                           Mode::SO),
+                         [](const ::testing::TestParamInfo<Mode> &Info) {
+                           return modeName(Info.param);
+                         });
+
+//===----------------------------------------------------------------------===//
 // Shadow-cell collisions: with two cells, unrelated addresses evict each
 // other's histories. An evicted history must be forgotten completely (a
 // false negative at worst, never a fabricated race), and a reclaimed cell
@@ -236,7 +314,6 @@ namespace {
 Config collidingConfig(Mode M) {
   Config C = makeConfig(M);
   C.ShadowCells = 2;
-  C.ShadowShards = 1;
   return C;
 }
 
@@ -419,29 +496,24 @@ TEST(ShadowCollisionsFT, ReadSharedPromotionAndDemotionAfterReclaim) {
 
 //===----------------------------------------------------------------------===//
 // Degenerate sizing: the runtime normalizes values it cannot index with
-// (no shards, fewer cells than shards, zero threads) instead of relying on
-// debug-only assertions.
+// (no cells, zero threads) instead of relying on debug-only assertions.
 //===----------------------------------------------------------------------===//
 
 TEST(RuntimeConfigTest, DegenerateSizesAreNormalized) {
   struct Sizes {
-    size_t MaxThreads, ShadowCells, ShadowShards;
+    size_t MaxThreads, ShadowCells;
   };
-  const Sizes Cases[] = {{0, 1 << 16, 256}, {16, 0, 0}, {16, 64, 0},
-                         {16, 0, 8},        {16, 3, 8}, {0, 0, 0}};
+  const Sizes Cases[] = {{0, 1 << 16}, {16, 0}, {16, 64}, {16, 3}, {0, 0}};
   for (Mode M : {Mode::NT, Mode::ET, Mode::FT, Mode::ST, Mode::SU,
                  Mode::SO}) {
     for (const Sizes &S : Cases) {
       Config C = makeConfig(M);
       C.MaxThreads = S.MaxThreads;
       C.ShadowCells = S.ShadowCells;
-      C.ShadowShards = S.ShadowShards;
       Runtime Rt(C);
       const Config &Used = Rt.config();
       EXPECT_EQ(Used.MaxThreads, std::max<size_t>(S.MaxThreads, 1));
-      EXPECT_EQ(Used.ShadowShards, std::max<size_t>(S.ShadowShards, 1));
-      EXPECT_EQ(Used.ShadowCells,
-                std::max(S.ShadowCells, Used.ShadowShards));
+      EXPECT_EQ(Used.ShadowCells, std::max<size_t>(S.ShadowCells, 1));
 
       SyncId L = Rt.registerSync();
       Rt.onAcquire(0, L);
