@@ -72,15 +72,19 @@ struct Options {
         O.JsonPath = Next();
       else if (Arg == "--trace")
         O.TracePath = Next();
-      else {
-        std::fprintf(stderr,
-                     "usage: %s [--scale S] [--seed N] [--workers W] "
-                     "[--csv PATH] [--json PATH] [--trace OUT.json]\n",
-                     Argv[0]);
-        exit(2);
-      }
+      else
+        usage(Argv[0]);
     }
     return O;
+  }
+
+  /// Prints the usage line and exits with status 2 (a bad argument).
+  [[noreturn]] static void usage(const char *Argv0) {
+    std::fprintf(stderr,
+                 "usage: %s [--scale S] [--seed N] [--workers W] "
+                 "[--csv PATH] [--json PATH] [--trace OUT.json]\n",
+                 Argv0);
+    exit(2);
   }
 };
 

@@ -10,7 +10,8 @@
 /// the most MySQL-faithful substrate in this repository (B-tree latch
 /// crabbing, buffer-pool map latch, WAL latch). Reports per-op latency of
 /// every configuration relative to NT and the SU/SO improvement in
-/// algorithmic overhead over ST at 3%.
+/// algorithmic overhead over ST at 3%. --workers W (1 to 64; 0 means 4)
+/// sets the number of client threads.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -18,6 +19,7 @@
 
 #include "sampletrack/workload/StorageEngine.h"
 
+#include <algorithm>
 #include <chrono>
 #include <thread>
 
@@ -27,14 +29,19 @@ using namespace stbench;
 
 namespace {
 
+/// The largest --workers value: client threads, each a registered runtime
+/// thread next to the main thread.
+constexpr size_t MaxWorkers = 64;
+
 double runNsPerOp(rt::Mode M, double Rate, size_t Workers, size_t Ops,
                   uint64_t Seed) {
   rt::Config C;
   C.AnalysisMode = M;
   C.SamplingRate = Rate;
   // 64-slot clocks as in the paper's TSan setup: O(T) joins must cost
-  // something for the skip machinery to pay off.
-  C.MaxThreads = 64;
+  // something for the skip machinery to pay off. One more slot when every
+  // one of MaxWorkers clients runs next to the main thread.
+  C.MaxThreads = std::max<size_t>(64, Workers + 1);
   C.Seed = Seed;
   rt::Runtime Rt(C);
   Database Db(Rt, 4, 512, 16384);
@@ -90,9 +97,13 @@ double bestOf(int Reps, rt::Mode M, double Rate, size_t Workers, size_t Ops,
 
 int main(int argc, char **argv) {
   Options O = Options::parse(argc, argv);
+  // --workers W sets the client threads; 0, the default, means 4.
+  if (O.Workers > MaxWorkers)
+    Options::usage(argv[0]);
+  const size_t Workers = O.Workers ? O.Workers : 4;
   std::printf("== Storage-engine latency ladder (Fig. 5 analogue) ==\n\n");
+  std::printf("%zu client threads\n\n", Workers);
 
-  const size_t Workers = 4;
   const size_t Ops = static_cast<size_t>(6000 * O.Scale) + 500;
 
   bestOf(1, rt::Mode::NT, 0, Workers, Ops, O.Seed); // Warmup.

@@ -8,10 +8,7 @@
 #include "sampletrack/detectors/DetectorFactory.h"
 
 #include "sampletrack/detectors/DjitDetector.h"
-#include "sampletrack/detectors/FastTrackDetector.h"
-#include "sampletrack/detectors/SamplingNaiveDetector.h"
-#include "sampletrack/detectors/SamplingOrderedListDetector.h"
-#include "sampletrack/detectors/SamplingUClockDetector.h"
+#include "sampletrack/detectors/EngineDetector.h"
 #include "sampletrack/detectors/TreeClockDetector.h"
 
 #include <algorithm>

@@ -43,11 +43,8 @@
 #include "sampletrack/explore/Workload.h"
 #include "sampletrack/detectors/DetectorFactory.h"
 #include "sampletrack/detectors/DjitDetector.h"
-#include "sampletrack/detectors/FastTrackDetector.h"
+#include "sampletrack/detectors/EngineDetector.h"
 #include "sampletrack/detectors/HBClosureOracle.h"
-#include "sampletrack/detectors/SamplingNaiveDetector.h"
-#include "sampletrack/detectors/SamplingOrderedListDetector.h"
-#include "sampletrack/detectors/SamplingUClockDetector.h"
 #include "sampletrack/detectors/TreeClockDetector.h"
 #include "sampletrack/perfgate/PerfGate.h"
 #include "sampletrack/prof/ChromeTrace.h"

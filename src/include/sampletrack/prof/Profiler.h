@@ -116,12 +116,17 @@ public:
   void counterEvent(NodeId Id, std::string_view Name, uint64_t Value);
 
   const std::string &name() const { return TreeName; }
-  const std::vector<TimelineEvent> &timeline() const { return Timeline; }
-  const std::vector<CounterSample> &counterSamples() const {
-    return CounterTrack;
-  }
-  /// Resolves a node's name (export helper).
-  const std::string &nodeName(NodeId Id) const { return Nodes[Id].Name; }
+
+  /// What the chrome-trace export reads: the timeline, the counter track
+  /// and every node's name (indexed by NodeId).
+  struct TimelineCopy {
+    std::vector<std::string> NodeNames;
+    std::vector<TimelineEvent> Timeline;
+    std::vector<CounterSample> Counters;
+  };
+  /// Copies the export data under the tree's lock, so a locked tree can be
+  /// exported while its thread keeps recording.
+  TimelineCopy copyTimeline() const;
 
 private:
   friend class Profiler;

@@ -17,6 +17,13 @@
 ///  - FT: FastTrack full analysis (Full-TSan),
 ///  - ST/SU/SO: the paper's sampling engines at a configurable rate.
 ///
+/// FT/ST/SU/SO run the engine policies of detectors/EngineCore.h, the same
+/// transitions the offline detectors run, with this runtime's one-word spin
+/// lock as their sync lock. The constructor builds one implementation for
+/// the configured mode, so no hook branches on the mode. What stays here is
+/// online-only: the lock words, address hashing and shadow-cell ownership,
+/// the NT and ET modes, trace recording and self-profiling.
+///
 /// Concurrency discipline (mirrors TSan's): a thread's clocks, metrics and
 /// race-sink shard are owned by that thread. Each sync object and each
 /// shadow cell carries its own 4-byte lock word, a spin lock that every
@@ -30,15 +37,15 @@
 /// once published (copy-on-write), so references can be handed across
 /// threads under the sync object's lock alone.
 ///
-/// Shadow layout: a cell is 48 bytes, a write epoch and a read epoch, its
-/// owner address, its lock word (in what would be tail padding) and a
-/// pointer to one flat read history of MaxThreads words, allocated when two
-/// unordered reads first meet on the cell (FT's read-shared vector clock,
-/// or the sampling modes' Cr_x). Every engine's write history is the epoch
-/// alone: for the sampling modes that is Algorithm 2's Cw_x, exact by
-/// Proposition 3. So a sampled access costs O(1) unless the cell's reads
-/// are promoted, a promoted check is one pointer hop and a raw-array
-/// compare, and an evicted address's history is zeroed in place.
+/// Shadow layout: a cell is 48 bytes, the engines' access-history record
+/// (a write epoch, a read epoch and a pointer to one flat read history of
+/// MaxThreads words, allocated when two unordered reads first meet on the
+/// cell), its lock word in the record's tail padding, and its owner
+/// address. Every engine's write history is the epoch alone: for the
+/// sampling modes that is Algorithm 2's Cw_x, exact by Proposition 3. So a
+/// sampled access costs O(1) unless the cell's reads are promoted, a
+/// promoted check is one pointer hop and a raw-array compare, and an
+/// evicted address's history is zeroed in place.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -48,11 +55,8 @@
 #include "sampletrack/detectors/Metrics.h"
 #include "sampletrack/prof/Profiler.h"
 #include "sampletrack/prof/Report.h"
-#include "sampletrack/support/OrderedList.h"
 #include "sampletrack/trace/Trace.h"
 #include "sampletrack/triage/RaceSink.h"
-#include "sampletrack/support/Rng.h"
-#include "sampletrack/support/VectorClock.h"
 
 #include <atomic>
 #include <condition_variable>
@@ -63,6 +67,11 @@
 
 namespace sampletrack {
 namespace rt {
+
+namespace detail {
+/// The online state every mode shares; each mode's hooks override it.
+class RuntimeBase;
+} // namespace detail
 
 /// Analysis configuration ladder of Section 6.2.2.
 enum class Mode {
@@ -88,6 +97,7 @@ struct Config {
   uint64_t Seed = 1;
   /// Fixed vector-clock size; threads beyond this cannot register (TSan v3
   /// uses a fixed 256-slot clock; we default lower to match our workloads).
+  /// The analysis modes allocate every thread's clocks at construction.
   /// The runtime raises 0 to 1: thread 0 is always pre-registered.
   size_t MaxThreads = 64;
   /// Number of shadow cells (addresses are hashed into this space). Each
@@ -196,46 +206,8 @@ public:
   const prof::Profiler *profiler() const;
 
 private:
-  struct ThreadState;
-  struct SyncState;
-  struct Shadow;
-  struct Impl;
-
-  /// Records a race: the atomic counter, plus thread \p T's race-sink shard
-  /// and racy-cell set. Called with the cell's lock held.
-  void reportRace(ThreadId T, uint64_t Cell, bool OnWrite);
-  /// Direct-mapped shadow ownership: claims the cell for \p Addr, dropping
-  /// a colliding address's history (see Shadow::Owner). Cell lock held.
-  void reclaimCell(Shadow &Sh, uint64_t Addr);
-  /// Thread \p T's knowledge of thread \p Of's time: C_t(Of) under FT,
-  /// the effective clock component C_t[t -> e_t](Of) in the sampling modes.
-  ClockValue knownTime(ThreadId T, ThreadId Of);
-  /// Is the promoted read history \p H, with active prefix \p Len, <= the
-  /// thread's clock (the effective clock C_t[t -> e_t] when sampling)?
-  bool dominatesHistory(ThreadId T, const ClockValue *H, size_t Len);
-  /// Lines 19-21 of Algorithm 2: publish e_t if the thread performed a
-  /// sampled access since the last release-like event.
-  void flushLocalEpoch(ThreadId T);
-  /// SO: applies one foreign entry that is strictly ahead of thread \p T's
-  /// component: copy-on-write break if the list is shared, then the move
-  /// to the head. Only entries that passed OrderedList::visitPrefixAhead's
-  /// compare get here; every other visited entry costs that compare alone.
-  /// Metrics::EntriesTraversed counts the visits: 1 for the releaser's
-  /// out-of-line scalar plus min(D, T) per processed single-source acquire,
-  /// and T per fork, join or multi-source join.
-  void soApplyEntry(ThreadId T, ThreadId Of, ClockValue Val);
-  /// SO: joins the first \p K entries of \p Src, plus its owner \p SrcTid's
-  /// out-of-line component \p SrcOwnTime (applied first), into thread
-  /// \p T's list. Adds the min(K, T) visited list entries to \p Charged;
-  /// returns the number of entries applied.
-  unsigned soJoinList(ThreadId T, const OrderedList &Src, size_t K,
-                      ThreadId SrcTid, ClockValue SrcOwnTime,
-                      Metrics &Charged);
-  /// Appends \p E to the recorded trace if recording is enabled.
-  void record(const Event &E);
-
   Config Cfg;
-  std::unique_ptr<Impl> I;
+  std::unique_ptr<detail::RuntimeBase> I;
 };
 
 /// An instrumented mutex: wraps a real std::mutex and reports acquire and

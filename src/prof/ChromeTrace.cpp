@@ -77,7 +77,8 @@ std::string toChromeTrace(std::span<const TraceSource> Sources) {
       emit("{\"ph\": \"M\", \"name\": \"thread_name\", \"pid\": " + Pid +
            ", \"tid\": " + Tid + ", \"args\": {\"name\": \"" +
            jsonEscape(Tr->name()) + "\"}}");
-      for (const TimelineEvent &E : Tr->timeline()) {
+      Tree::TimelineCopy Copy = Tr->copyTimeline();
+      for (const TimelineEvent &E : Copy.Timeline) {
         uint64_t Dur = E.EndNanos > E.StartNanos ? E.EndNanos - E.StartNanos
                                                  : 0;
         char DurBuf[40];
@@ -85,13 +86,13 @@ std::string toChromeTrace(std::span<const TraceSource> Sources) {
                       static_cast<unsigned long long>(Dur / 1000),
                       static_cast<unsigned long long>(Dur % 1000));
         emit("{\"ph\": \"X\", \"name\": \"" +
-             jsonEscape(Tr->nodeName(E.Node)) + "\", \"cat\": \"" +
+             jsonEscape(Copy.NodeNames[E.Node]) + "\", \"cat\": \"" +
              jsonEscape(Src.ProcessName) + "\", \"pid\": " + Pid +
              ", \"tid\": " + Tid +
              ", \"ts\": " + micros(E.StartNanos, Base) +
              ", \"dur\": " + DurBuf + "}");
       }
-      for (const CounterSample &C : Tr->counterSamples())
+      for (const CounterSample &C : Copy.Counters)
         emit("{\"ph\": \"C\", \"name\": \"" + jsonEscape(C.Name) +
              "\", \"pid\": " + Pid + ", \"tid\": " + Tid +
              ", \"ts\": " + micros(C.Nanos, Base) + ", \"args\": {\"" +

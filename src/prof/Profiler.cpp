@@ -128,6 +128,17 @@ void Tree::counterEvent(NodeId Id, std::string_view Name, uint64_t Value) {
     CounterTrack.push_back({std::string(Name), nowNanos(), Value});
 }
 
+Tree::TimelineCopy Tree::copyTimeline() const {
+  MaybeLock L(Mu, Locked);
+  TimelineCopy Out;
+  Out.NodeNames.reserve(Nodes.size());
+  for (const NodeData &N : Nodes)
+    Out.NodeNames.push_back(N.Name);
+  Out.Timeline = Timeline;
+  Out.Counters = CounterTrack;
+  return Out;
+}
+
 void Tree::mergeInto(ReportMergeNode &Root) const {
   MaybeLock L(Mu, Locked);
   // Recursive walk without recursion: (tree node, merge node) pairs.

@@ -25,6 +25,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+
 using namespace sampletrack;
 
 namespace {
@@ -346,4 +349,27 @@ TEST(Profiler, ChromeTraceCoversSessionRuntimeAndExploreSources) {
   EXPECT_NE(Trace.find("\"name\": \"session\""), std::string::npos);
   EXPECT_NE(Trace.find("\"name\": \"acquire\""), std::string::npos);
   EXPECT_NE(Trace.find("\"name\": \"enumerate\""), std::string::npos);
+}
+
+TEST(Profiler, ChromeTraceExportsALockedTreeWhileItRecords) {
+  // A live server exports its profile while worker threads keep recording
+  // into their locked trees: the export must read each tree under its lock.
+  prof::Profiler P(/*LockTrees=*/true);
+  prof::Tree *Worker = P.makeTree("worker");
+  prof::NodeId Node = Worker->internPath({"serve", "upload"});
+  std::atomic<bool> Stop{false};
+  std::thread Recorder([&] {
+    for (uint64_t I = 1; !Stop.load(std::memory_order_relaxed); ++I) {
+      Worker->addSpan(Node, I, I + 1);
+      Worker->counterEvent(Node, "bytes", I);
+    }
+  });
+  for (int Export = 0; Export < 20; ++Export) {
+    std::string Trace = prof::toChromeTrace(P, "server");
+    support::JsonValue Doc;
+    std::string Err;
+    EXPECT_TRUE(support::JsonValue::parse(Trace, Doc, &Err)) << Err;
+  }
+  Stop.store(true, std::memory_order_relaxed);
+  Recorder.join();
 }
