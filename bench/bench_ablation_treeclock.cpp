@@ -38,7 +38,7 @@ int main(int argc, char **argv) {
              "SO acq skip%"});
 
   // Mutex-structured traces only (the TC ablation engine's release-join
-  // fallback is conservative; see TreeClockDetector.h).
+  // fallback is conservative; see engine::TCCore in EngineCore.h).
   for (const char *Name : {"lusearch", "linkedlist", "derby", "bubblesort",
                            "cassandra"}) {
     Trace Base = generateSuiteTrace(Name, O.Scale, O.Seed);

@@ -9,7 +9,6 @@
 
 #include "sampletrack/detectors/DjitDetector.h"
 #include "sampletrack/detectors/EngineDetector.h"
-#include "sampletrack/detectors/TreeClockDetector.h"
 
 #include <algorithm>
 #include <cctype>

@@ -45,7 +45,6 @@
 #include "sampletrack/detectors/DjitDetector.h"
 #include "sampletrack/detectors/EngineDetector.h"
 #include "sampletrack/detectors/HBClosureOracle.h"
-#include "sampletrack/detectors/TreeClockDetector.h"
 #include "sampletrack/perfgate/PerfGate.h"
 #include "sampletrack/prof/ChromeTrace.h"
 #include "sampletrack/prof/Profiler.h"

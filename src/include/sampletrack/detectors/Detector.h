@@ -7,7 +7,8 @@
 ///
 /// \file
 /// The streaming race-detector interface shared by all engines (Djit+,
-/// FastTrack, and the three sampling engines ST/SU/SO). A detector consumes
+/// FastTrack, the three sampling engines ST/SU/SO and the tree-clock
+/// ablation TC). A detector consumes
 /// batches of events in trace order, each access paired with its sampling
 /// decision, realizing the adaptive "marked events" formulation of the
 /// Analysis Problem (Problem 1). Synchronization events are always
@@ -37,9 +38,11 @@ namespace sampletrack {
 
 /// Base class of every race-detection engine.
 ///
-/// Subclasses implement the virtual handlers; the base records races,
-/// metrics and the stream position. Handlers must be called in trace order.
-/// Thread ids must be < the NumThreads given at construction.
+/// Events enter only through processBatch, the one virtual entry point for
+/// events; a subclass implements it with \ref batchDispatch over its own
+/// (non-virtual) handlers. The base records races, metrics and the stream
+/// position. Events must arrive in trace order. Thread ids must be < the
+/// NumThreads given at construction.
 ///
 /// Concurrency contract (the parallel-lane mode of api::AnalysisSession
 /// relies on it): a detector instance is lane-local — all mutable state,
@@ -57,24 +60,6 @@ public:
 
   /// Engine name as used in the paper ("FT", "ST", "SU", "SO", ...).
   virtual std::string name() const = 0;
-
-  /// Access handlers. Engines that ignore unsampled accesses only ever see
-  /// sampled ones (\ref batchDispatch skips the rest); full-analysis
-  /// engines see every access.
-  virtual void onRead(ThreadId T, VarId X) = 0;
-  virtual void onWrite(ThreadId T, VarId X) = 0;
-
-  virtual void onAcquire(ThreadId T, SyncId L) = 0;
-  virtual void onRelease(ThreadId T, SyncId L) = 0;
-  virtual void onFork(ThreadId Parent, ThreadId Child) = 0;
-  virtual void onJoin(ThreadId Parent, ThreadId Child) = 0;
-
-  /// Non-mutex synchronization (appendix A.2). Defaults map them onto the
-  /// mutex-style handlers conservatively; the sampling engines override
-  /// with the appendix's specialized treatment.
-  virtual void onReleaseStore(ThreadId T, SyncId S) = 0;
-  virtual void onReleaseJoin(ThreadId T, SyncId S) = 0;
-  virtual void onAcquireLoad(ThreadId T, SyncId S) = 0;
 
   /// Batched ingestion: dispatches Events[I] in order with decision
   /// Sampled[I] (nonzero = in S; only meaningful for access events). Every
@@ -144,11 +129,11 @@ protected:
   /// on OpKind per event, and — when \p SkipUnsampled is set (the sampling
   /// engines and the tree-clock ablation, which analyze only accesses in
   /// S) — no handler call at all for the ~99%+ of accesses outside S.
-  /// Handler calls are explicitly qualified with \p Concrete, the
-  /// most-derived type, so they compile to direct (inlinable) calls; the
-  /// virtual boundary is crossed once per batch by the processBatch
-  /// override itself. The stream position advances per event
-  /// (declareRace records it).
+  /// \p Concrete, the most-derived type, provides the handlers onRead,
+  /// onWrite, onAcquire, onRelease, onFork, onJoin, onReleaseStore,
+  /// onReleaseJoin and onAcquireLoad; the calls are qualified with it, so
+  /// they compile to direct (inlinable) calls. The stream position
+  /// advances per event (declareRace records it).
   template <bool SkipUnsampled, typename Concrete>
   static void batchDispatch(Concrete &Self, std::span<const Event> Events,
                             std::span<const uint8_t> Sampled) {

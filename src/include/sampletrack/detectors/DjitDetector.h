@@ -33,15 +33,16 @@ public:
 
   std::string name() const override { return "Djit+"; }
 
-  void onRead(ThreadId T, VarId X) override;
-  void onWrite(ThreadId T, VarId X) override;
-  void onAcquire(ThreadId T, SyncId L) override;
-  void onRelease(ThreadId T, SyncId L) override;
-  void onFork(ThreadId Parent, ThreadId Child) override;
-  void onJoin(ThreadId Parent, ThreadId Child) override;
-  void onReleaseStore(ThreadId T, SyncId S) override;
-  void onReleaseJoin(ThreadId T, SyncId S) override;
-  void onAcquireLoad(ThreadId T, SyncId S) override;
+  /// batchDispatch's handlers.
+  void onRead(ThreadId T, VarId X);
+  void onWrite(ThreadId T, VarId X);
+  void onAcquire(ThreadId T, SyncId L);
+  void onRelease(ThreadId T, SyncId L);
+  void onFork(ThreadId Parent, ThreadId Child);
+  void onJoin(ThreadId Parent, ThreadId Child);
+  void onReleaseStore(ThreadId T, SyncId S);
+  void onReleaseJoin(ThreadId T, SyncId S);
+  void onAcquireLoad(ThreadId T, SyncId S);
 
   void processBatch(std::span<const Event> Events,
                     std::span<const uint8_t> Sampled) override;

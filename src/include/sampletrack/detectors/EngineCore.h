@@ -6,16 +6,21 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The thread-clock, sync-object and access-history transitions of the four
+/// The thread-clock, sync-object and access-history transitions of the
 /// analysis engines, written once. The offline detectors instantiate them
 /// as EngineDetector<Core> (EngineDetector.h); the online rt::Runtime
-/// instantiates the same types with its spin lock as the sync lock.
+/// instantiates FT, ST, SU and SO with its spin lock as the sync lock.
 ///
 ///  - FTCore: FastTrack (Flanagan & Freund, PLDI 2009), the paper's full
 ///    analysis: Djit+ clocks plus FastTrack's epoch histories.
 ///  - STCore: Algorithm 2, Djit+ over the sampling timestamp C_sam.
 ///  - SUCore: Algorithm 3, sampling clocks plus freshness (U) clocks.
 ///  - SOCore: Algorithm 4, ordered lists shared by copy-on-write.
+///  - TCCore: the Section 7 ablation, full-HB tree clocks with race checks
+///    on sampled events only (offline only).
+///
+/// Djit+ (DjitDetector) stays separate: it is the reference the engines
+/// are tested against.
 ///
 /// A core owns the per-thread state (padded to a cache line, since online
 /// each thread mutates only its own) and defines the type of one sync
@@ -57,6 +62,12 @@
 /// Access-side O(T) work is therefore only read promotions and write checks
 /// against promoted read histories (both counted in Metrics::FullClockOps).
 ///
+/// TC runs the sampling engines' body over full-HB clocks. The epoch forms
+/// are exact there for the reason Proposition 3 gives for C_sam: a clock
+/// that knows component c of thread u holds u's whole clock as of the
+/// release-like event that ended u's local time c, and that event follows
+/// every event of u stamped c.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SAMPLETRACK_DETECTORS_ENGINECORE_H
@@ -65,6 +76,7 @@
 #include "sampletrack/detectors/Metrics.h"
 #include "sampletrack/support/OrderedList.h"
 #include "sampletrack/support/SnapshotPool.h"
+#include "sampletrack/support/TreeClock.h"
 #include "sampletrack/support/VectorClock.h"
 #include "sampletrack/trace/Event.h"
 
@@ -128,6 +140,66 @@ struct LocalEpoch {
     Published = Epoch++;
     return true;
   }
+};
+
+/// A thread's clock structure that releases publish by reference (SO's
+/// ordered list, TC's tree clock), shared with sync objects by
+/// copy-on-write. Once published it is immutable; every mutation goes
+/// through own(), which re-owns it in place when every published reference
+/// has since been dropped (free), or by copying it into a SnapshotPool
+/// buffer when a sync object still holds the snapshot (a CowBreak; the pool
+/// recycles retired buffers so steady state allocates nothing).
+template <typename ClockT> class CowClock {
+public:
+  using Pool = SnapshotPool<ClockT>;
+
+  /// Takes a buffer from \p P for a new thread and returns it for
+  /// initialization.
+  ClockT &init(Pool &P) {
+    Ref = P.acquire();
+    return *Ref;
+  }
+
+  const ClockT &operator*() const { return *Ref; }
+  const ClockT *operator->() const { return Ref.get(); }
+  /// shared_t of Algorithm 4: a release has published the clock since the
+  /// owner last re-owned it.
+  bool shared() const { return Shared; }
+
+  /// A release's O(1) shallow publication; the caller stores the result in
+  /// the sync object.
+  const typename Pool::Ref &publish(Metrics &M) {
+    Shared = true;
+    ++M.ShallowCopies;
+    return Ref;
+  }
+
+  /// The clock, for mutation.
+  ClockT &own(Pool &P, Metrics &M) {
+    if (Shared)
+      reown(P, M);
+    return *Ref;
+  }
+
+private:
+  /// Only the owner mints references, so a stale reading of unique()
+  /// merely costs one extra copy.
+  void reown(Pool &P, Metrics &M) {
+    Shared = false;
+    if (Ref.unique())
+      return;
+    ++M.CowBreaks;
+    bool Reused = false;
+    typename Pool::Ref Copy = P.acquire(&Reused);
+    M.PoolHits += Reused ? 1 : 0;
+    *Copy = *Ref; // Flat copy; a recycled buffer reuses its storage.
+    Ref = std::move(Copy);
+    ++M.DeepCopies;
+    ++M.FullClockOps;
+  }
+
+  typename Pool::Ref Ref;
+  bool Shared = false;
 };
 
 template <typename L>
@@ -579,11 +651,8 @@ private:
 /// ablation (SO-noepoch) stays.
 ///
 /// Snapshot lifecycle (the zero-allocation hot path): a release publishes
-/// the thread's list by reference; the owner's next mutation re-owns it, in
-/// place when every published reference has since been dropped (free), or
-/// by materializing a private copy into a SnapshotPool buffer when a sync
-/// object still holds the snapshot (a CowBreak; the pool recycles retired
-/// buffers so steady state allocates nothing).
+/// the thread's list by reference and the owner's next mutation re-owns it
+/// (CowClock).
 ///
 /// Non-mutex synchronization (appendix A.2): a release-store is a release,
 /// since a shallow snapshot implements replacement semantics exactly ("the
@@ -591,7 +660,6 @@ private:
 /// converts the object to an owned blended vector clock (multi-source),
 /// processed without skips.
 template <typename LockT = NoLock> class SOCore {
-  using ListRef = SnapshotPool<OrderedList>::Ref;
   /// Read-only view held by sync objects: published snapshots are
   /// immutable while shared, and this type makes that a compile error to
   /// violate.
@@ -623,8 +691,7 @@ public:
   explicit SOCore(size_t NumThreads, bool LocalEpochOpt = true)
       : LocalEpochOpt(LocalEpochOpt), Threads(NumThreads) {
     for (Thread &TS : Threads) {
-      TS.O = Pool.acquire();
-      TS.O->reset(NumThreads);
+      TS.O.init(Pool).reset(NumThreads);
       TS.U = VectorClock(NumThreads);
     }
   }
@@ -636,7 +703,7 @@ public:
 
   /// The thread's ordered list (tests inspect structure and sharing).
   const OrderedList &orderedList(ThreadId T) const { return *Threads[T].O; }
-  bool isListShared(ThreadId T) const { return Threads[T].Shared; }
+  bool isListShared(ThreadId T) const { return Threads[T].O.shared(); }
   const VectorClock &freshnessClock(ThreadId T) const { return Threads[T].U; }
   ClockValue localEpoch(ThreadId T) const { return Threads[T].Epoch; }
   bool isDirty(ThreadId T) const { return Threads[T].Dirty; }
@@ -712,10 +779,8 @@ public:
     ++M.ReleasesTotal;
     flush(T, M);
     Thread &TS = Threads[T];
-    TS.Shared = true;
-    ++M.ShallowCopies;
     std::lock_guard<Lock> G(S.L);
-    S.Ref = TS.O;
+    S.Ref = TS.O.publish(M);
     S.LastReleaser = T;
     S.UScalar = TS.U.get(T);
     S.OwnTimeAtRelease = TS.OwnTime;
@@ -753,10 +818,7 @@ public:
 
 private:
   struct alignas(64) Thread : LocalEpoch {
-    ListRef O;
-    /// shared_t of Algorithm 4: the list may be referenced by sync objects
-    /// and must be re-owned before mutation.
-    bool Shared = false;
+    CowClock<OrderedList> O;
     VectorClock U;
     /// The paper's C_t(t) (local time of the last sampled event). Under the
     /// local-epoch optimization this is authoritative and the list entry
@@ -774,38 +836,15 @@ private:
     if (!LocalEpochOpt) {
       // Without the optimization the epoch lands in the list itself, which
       // may force a deep copy right here.
-      ensureOwned(T, M);
-      TS.O->set(T, Time);
+      TS.O.own(Pool, M).set(T, Time);
     }
-  }
-
-  /// Re-owns the thread's list before mutation (lazy copy-on-write): in
-  /// place when every published reference has been dropped (only the owner
-  /// can mint new ones, so a stale reading merely costs one extra copy),
-  /// else a pooled deep copy (a CowBreak).
-  void ensureOwned(ThreadId T, Metrics &M) {
-    Thread &TS = Threads[T];
-    if (!TS.Shared)
-      return;
-    TS.Shared = false;
-    if (TS.O.unique())
-      return;
-    ++M.CowBreaks;
-    bool Reused = false;
-    ListRef Copy = Pool.acquire(&Reused);
-    M.PoolHits += Reused ? 1 : 0;
-    *Copy = *TS.O; // Flat copy; a recycled buffer reuses its storage.
-    TS.O = std::move(Copy);
-    ++M.DeepCopies;
-    ++M.FullClockOps;
   }
 
   /// Applies one foreign entry (\p Of, \p Val) strictly ahead of thread
   /// \p T's component: re-owns the list, then moves the entry to the head.
   void applyEntry(ThreadId T, ThreadId Of, ClockValue Val, Metrics &M) {
     assert(Of != T && Val > Threads[T].O->get(Of) && "entry not ahead");
-    ensureOwned(T, M);
-    Threads[T].O->set(Of, Val);
+    Threads[T].O.own(Pool, M).set(Of, Val);
   }
 
   /// Joins the first \p K entries of \p Src, plus its owner \p SrcTid's
@@ -889,6 +928,121 @@ private:
   /// back into the pool on destruction.
   SnapshotPool<OrderedList> Pool;
   std::vector<Thread> Threads;
+};
+
+//===----------------------------------------------------------------------===//
+// TC: the tree-clock ablation
+//===----------------------------------------------------------------------===//
+
+/// TC: the ablation for the related-work comparison of Section 7. Tree
+/// clocks are an *optimal* data structure for computing the full
+/// happens-before relation, but they cannot soundly prune joins under the
+/// *sampling* timestamp (the same component value may stand for growing
+/// knowledge, defeating the value-based subtree pruning). This engine
+/// therefore computes full-HB timestamps in tree clocks, ticking the local
+/// component after every release-like event as FastTrack does, while
+/// checking races only on sampled events. bench_ablation_treeclock compares
+/// its acquire-side traversal work against SO's ordered-list prefix walks.
+///
+/// Sync objects hold copy-on-write snapshots of the releasing thread's
+/// tree (CowClock). The tick after the release forces the deep copy at
+/// once: full-HB timestamps change at every release, which is the
+/// redundancy the sampling timestamp removes.
+///
+/// A release-join falls back to a release (replacement), so TC is exact
+/// only on traces without release-joins.
+class TCCore {
+public:
+  using Lock = NoLock;
+  static constexpr bool Sampling = true;
+  static constexpr const char *Name = "TC";
+
+  struct Sync {
+    /// Published snapshot; immutable while shared (const-enforced).
+    SnapshotPool<TreeClock>::ConstRef Ref;
+  };
+
+  explicit TCCore(size_t NumThreads) : Threads(NumThreads) {
+    for (ThreadId T = 0; T < NumThreads; ++T) {
+      TreeClock &C = Threads[T].init(Pool);
+      C.reset(NumThreads, T);
+      // Full-HB local time starts at 1, as in Djit+/FastTrack.
+      C.setRootTime(1);
+    }
+  }
+
+  size_t width() const { return Threads.size(); }
+
+  void setPoolingEnabled(bool Enabled) { Pool.setEnabled(Enabled); }
+
+  const TreeClock &threadClock(ThreadId T) const { return *Threads[T]; }
+
+  ClockValue accessTime(ThreadId T) { return Threads[T]->get(T); }
+  ClockValue knownTime(ThreadId T, ThreadId Of) const {
+    return Threads[T]->get(Of);
+  }
+  bool dominates(ThreadId T, const ClockValue *H, size_t Len) const {
+    const TreeClock &C = *Threads[T];
+    for (size_t I = 0; I < Len; ++I)
+      if (H[I] > C.get(static_cast<ThreadId>(I)))
+        return false;
+    return true;
+  }
+
+  void acquire(ThreadId T, Sync &S, Metrics &M) {
+    ++M.AcquiresTotal;
+    if (!S.Ref) {
+      ++M.AcquiresSkipped;
+      return;
+    }
+    joinInto(T, *S.Ref, M);
+  }
+  /// Publishes a snapshot, then advances local time.
+  void release(ThreadId T, Sync &S, Metrics &M) {
+    ++M.ReleasesTotal;
+    ++M.ReleasesProcessed;
+    S.Ref = Threads[T].publish(M);
+    tick(T, M);
+  }
+  void releaseStore(ThreadId T, Sync &S, Metrics &M) { release(T, S, M); }
+  void releaseJoin(ThreadId T, Sync &S, Metrics &M) { release(T, S, M); }
+  void fork(ThreadId Parent, ThreadId Child, Metrics &M) {
+    ++M.ReleasesTotal;
+    ++M.ReleasesProcessed;
+    // Count the child's import as acquire-side work, mirroring the other
+    // engines.
+    ++M.AcquiresTotal;
+    joinInto(Child, *Threads[Parent], M);
+    tick(Parent, M);
+  }
+  void join(ThreadId Parent, ThreadId Child, Metrics &M) {
+    ++M.AcquiresTotal;
+    joinInto(Parent, *Threads[Child], M);
+    tick(Child, M);
+  }
+
+private:
+  void tick(ThreadId T, Metrics &M) {
+    Threads[T].own(Pool, M).incrementRoot();
+  }
+
+  /// Joins \p Src into thread \p T's clock, counting the examined nodes.
+  void joinInto(ThreadId T, const TreeClock &Src, Metrics &M) {
+    // Fast path, sound under full-HB timestamps: equal root values imply
+    // equal knowledge, since the local component advances at every release.
+    if (Src.get(Src.root()) <= Threads[T]->get(Src.root())) {
+      ++M.AcquiresSkipped;
+      return;
+    }
+    M.EntriesTraversed += Threads[T].own(Pool, M).joinFrom(Src);
+    M.TraversalOpportunities += width();
+    ++M.AcquiresProcessed;
+  }
+
+  /// Declared before the thread table: its outstanding references drain
+  /// back into the pool on destruction.
+  SnapshotPool<TreeClock> Pool;
+  std::vector<CowClock<TreeClock>> Threads;
 };
 
 } // namespace engine

@@ -6,9 +6,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The offline detectors FT, ST, SU and SO: one Detector over an engine
-/// core (EngineCore.h), which keeps a growable table of sync objects and
-/// one access history per variable. The core's accessors (threadClock,
+/// The offline detectors FT, ST, SU, SO and TC: one Detector over an
+/// engine core (EngineCore.h), which keeps a growable table of sync objects
+/// and one access history per variable. The core's accessors (threadClock,
 /// freshnessClock, orderedList, isListShared, localEpoch, isDirty,
 /// effectiveComponent) are the detector's.
 ///
@@ -25,7 +25,8 @@
 namespace sampletrack {
 
 /// An offline engine: \p Core's transitions driven by batchDispatch. The
-/// sampling cores see only sampled accesses; FT sees every access.
+/// sampling cores (and TC) see only sampled accesses; FT sees every access.
+/// The handlers are batchDispatch's statically bound targets, not virtual.
 template <typename Core>
 class EngineDetector final : public Detector, public Core {
   static_assert(engine::EngineCore<Core>,
@@ -41,33 +42,33 @@ public:
 
   std::string name() const override { return Core::Name; }
 
-  void onRead(ThreadId T, VarId X) override {
+  void onRead(ThreadId T, VarId X) {
     engine::checkRead(core(), T, history(X), Stats,
                       [&](OpKind K) { declareRace(T, X, K); });
   }
-  void onWrite(ThreadId T, VarId X) override {
+  void onWrite(ThreadId T, VarId X) {
     engine::checkWrite(core(), T, history(X), Stats,
                        [&](OpKind K) { declareRace(T, X, K); });
   }
-  void onAcquire(ThreadId T, SyncId L) override {
+  void onAcquire(ThreadId T, SyncId L) {
     Core::acquire(T, sync(L), Stats);
   }
-  void onRelease(ThreadId T, SyncId L) override {
+  void onRelease(ThreadId T, SyncId L) {
     Core::release(T, sync(L), Stats);
   }
-  void onFork(ThreadId Parent, ThreadId Child) override {
+  void onFork(ThreadId Parent, ThreadId Child) {
     Core::fork(Parent, Child, Stats);
   }
-  void onJoin(ThreadId Parent, ThreadId Child) override {
+  void onJoin(ThreadId Parent, ThreadId Child) {
     Core::join(Parent, Child, Stats);
   }
-  void onReleaseStore(ThreadId T, SyncId S) override {
+  void onReleaseStore(ThreadId T, SyncId S) {
     Core::releaseStore(T, sync(S), Stats);
   }
-  void onReleaseJoin(ThreadId T, SyncId S) override {
+  void onReleaseJoin(ThreadId T, SyncId S) {
     Core::releaseJoin(T, sync(S), Stats);
   }
-  void onAcquireLoad(ThreadId T, SyncId S) override {
+  void onAcquireLoad(ThreadId T, SyncId S) {
     Core::acquire(T, sync(S), Stats);
   }
 
@@ -109,6 +110,8 @@ using SamplingUClockDetector = EngineDetector<engine::SUCore<>>;
 /// SO: Algorithm 4, ordered lists with lazy copies. The second constructor
 /// argument toggles the Section 6.1 local-epoch optimization (default on).
 using SamplingOrderedListDetector = EngineDetector<engine::SOCore<>>;
+/// TC: the Section 7 ablation, full-HB tree clocks with sampled checks.
+using TreeClockDetector = EngineDetector<engine::TCCore>;
 
 } // namespace sampletrack
 

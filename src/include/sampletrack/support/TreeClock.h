@@ -15,9 +15,9 @@
 /// list does; bench_ablation_treeclock quantifies that claim.
 ///
 /// This implementation supports the operations the race detectors need:
-/// O(1) root reads/increments, pruned join with work counting, and flat deep
-/// copies (sharing/copy-on-write is handled by the detector, as for
-/// OrderedList).
+/// O(1) root reads/increments, pruned join with work counting, and flat
+/// deep copies by assignment (sharing/copy-on-write is engine::CowClock's,
+/// as for OrderedList).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,7 +25,6 @@
 #define SAMPLETRACK_SUPPORT_TREECLOCK_H
 
 #include "sampletrack/support/Common.h"
-#include "sampletrack/support/VectorClock.h"
 
 #include <cassert>
 #include <cstddef>
@@ -87,19 +86,6 @@ public:
   /// Precondition: \p Other is rooted at a different thread, or is this very
   /// clock (in which case the join is a no-op).
   unsigned joinFrom(const TreeClock &Other);
-
-  /// Flat O(T) copy (deep copy in the copy-on-write scheme).
-  void deepCopyFrom(const TreeClock &Other) {
-    Nodes = Other.Nodes;
-    Root = Other.Root;
-  }
-
-  /// Materializes into a plain vector clock (tests and race checks).
-  void toVectorClock(VectorClock &Out) const {
-    assert(Out.size() == Nodes.size() && "clock size mismatch");
-    for (size_t I = 0, E = Nodes.size(); I != E; ++I)
-      Out.set(static_cast<ThreadId>(I), Nodes[I].Clk);
-  }
 
   /// Structural invariant check used by tests: parent/child/sibling links
   /// are consistent, attachment times do not exceed parent times, and child

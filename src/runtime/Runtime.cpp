@@ -224,6 +224,7 @@ public:
   virtual void onRead(ThreadId, uint64_t) {}
   virtual void onWrite(ThreadId, uint64_t) {}
   virtual void onAcquire(ThreadId, SyncId) {}
+  virtual void onAcquireLoad(ThreadId, SyncId) {}
   virtual void onRelease(ThreadId, SyncId) {}
   virtual void onFork(ThreadId, ThreadId) {}
   virtual void onJoin(ThreadId, ThreadId) {}
@@ -340,6 +341,9 @@ public:
   void onAcquire(ThreadId T, SyncId L) override {
     count(T, L, OpKind::Acquire, &ThreadState::PAcquire);
   }
+  void onAcquireLoad(ThreadId T, SyncId S) override {
+    count(T, S, OpKind::AcquireLoad, &ThreadState::PAcquire);
+  }
   void onRelease(ThreadId T, SyncId L) override {
     count(T, L, OpKind::Release, &ThreadState::PRelease);
   }
@@ -397,8 +401,10 @@ public:
     check<OpKind::Write>(T, Addr);
   }
   void onAcquire(ThreadId T, SyncId L) override {
-    syncHook(T, L, OpKind::Acquire, &ThreadState::PAcquire,
-             [&](ThreadState &TS) { Engine.acquire(T, Syncs[L], TS.Stats); });
+    acquire(T, L, OpKind::Acquire);
+  }
+  void onAcquireLoad(ThreadId T, SyncId S) override {
+    acquire(T, S, OpKind::AcquireLoad);
   }
   void onRelease(ThreadId T, SyncId L) override {
     syncHook(T, L, OpKind::Release, &ThreadState::PRelease,
@@ -426,6 +432,12 @@ public:
   }
 
 private:
+  /// Acquires and acquire-loads share one transition and one profile node.
+  void acquire(ThreadId T, SyncId S, OpKind K) {
+    syncHook(T, S, K, &ThreadState::PAcquire,
+             [&](ThreadState &TS) { Engine.acquire(T, Syncs[S], TS.Stats); });
+  }
+
   template <OpKind K> void check(ThreadId T, uint64_t Addr) {
     accessHook<Core::Sampling>(T, Addr, K, [&](ThreadState &TS,
                                                uint64_t Cell) {
@@ -493,7 +505,7 @@ ThreadId Runtime::registerThread() {
     TS.PJoin = TS.PT->internPath({"runtime", "sync", "join"});
     TS.PReleaseStore = TS.PT->internPath({"runtime", "sync", "releaseStore"});
     TS.PReleaseJoin = TS.PT->internPath({"runtime", "sync", "releaseJoin"});
-    // Acquire-loads delegate to onAcquire and are accounted there.
+    // Acquire-loads are timed under the acquire node.
   }
   return T;
 }
@@ -517,7 +529,7 @@ void Runtime::onReleaseStore(ThreadId T, SyncId S) {
   I->onReleaseStore(T, S);
 }
 void Runtime::onReleaseJoin(ThreadId T, SyncId S) { I->onReleaseJoin(T, S); }
-void Runtime::onAcquireLoad(ThreadId T, SyncId S) { I->onAcquire(T, S); }
+void Runtime::onAcquireLoad(ThreadId T, SyncId S) { I->onAcquireLoad(T, S); }
 
 uint64_t Runtime::raceCount() const {
   return I->Races.load(std::memory_order_relaxed);

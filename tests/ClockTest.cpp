@@ -316,8 +316,7 @@ TEST(TreeClock, RandomJoinsMatchVectorClocks) {
       if (Src == Dst)
         continue;
       // Snapshot-and-bump models release; join models the next acquire.
-      TreeClock Snap;
-      Snap.deepCopyFrom(TCs[Src]);
+      TreeClock Snap = TCs[Src];
       VectorClock VSnap = VCs[Src];
       TCs[Src].incrementRoot();
       VCs[Src].bump(Src);

@@ -218,6 +218,12 @@ TEST(DifferentialFuzz, AllEnginesAgreeOnHundredsOfRandomCases) {
         << "SO diverged, case " << Case;
     ASSERT_EQ(Expected, declared(T, EngineKind::SamplingONoEpochOpt))
         << "SO-noepoch diverged, case " << Case;
+    // TC replaces on a release-join (its conservative fallback), so it is
+    // exact only without them.
+    if (T.countKind(OpKind::ReleaseJoin) == 0) {
+      ASSERT_EQ(Expected, declared(T, EngineKind::TreeClockFull))
+          << "TC diverged, case " << Case;
+    }
     // Beyond the exemplar events: the whole warehouse view (signatures,
     // hit counts, exemplars) must match what the oracle's declarations
     // dedup to.

@@ -72,6 +72,23 @@ TEST(RecordReplay, RecordedTraceIsWellFormed) {
   EXPECT_EQ(T.countKind(OpKind::Join), 2u);
 }
 
+TEST(RecordReplay, AtomicsRecordTheirOwnKinds) {
+  // Every recording runtime (ET and the four engines) keeps an
+  // acquire-load's kind; the engines process it as an acquire.
+  for (Mode M : {Mode::ET, Mode::FT, Mode::ST, Mode::SU, Mode::SO}) {
+    Runtime Rt(recordingConfig(M));
+    AtomicFlag Flag(Rt);
+    Flag.store(0, 1);
+    EXPECT_EQ(Flag.load(0), 1u);
+    Trace T = Rt.recordedTrace();
+    ASSERT_EQ(T.size(), 2u) << modeName(M);
+    EXPECT_EQ(T[0], Event(0, OpKind::ReleaseStore, Flag.id()))
+        << modeName(M) << " recorded " << T[0].str();
+    EXPECT_EQ(T[1], Event(0, OpKind::AcquireLoad, Flag.id()))
+        << modeName(M) << " recorded " << T[1].str();
+  }
+}
+
 TEST(RecordReplay, WellSynchronizedReplayIsRaceFree) {
   for (Mode M : {Mode::FT, Mode::SO}) {
     Runtime Rt(recordingConfig(M, 0.8));

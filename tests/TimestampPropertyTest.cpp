@@ -20,10 +20,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "sampletrack/detectors/EngineDetector.h"
 #include "sampletrack/detectors/HBClosureOracle.h"
-#include "sampletrack/detectors/SamplingNaiveDetector.h"
-#include "sampletrack/detectors/SamplingOrderedListDetector.h"
-#include "sampletrack/detectors/SamplingUClockDetector.h"
 #include "sampletrack/sampling/Sampler.h"
 #include "sampletrack/trace/TraceGen.h"
 
