@@ -7,8 +7,9 @@
 ///
 /// \file
 /// google-benchmark microbenchmarks of the clock primitives underlying the
-/// engines: vector-clock join/copy/compare, ordered-list point operations
-/// and prefix traversal, deep copies, and tree-clock joins — across the
+/// engines: vector-clock join/copy/compare, ordered-list point operations,
+/// prefix traversal and the ahead count that gates it, deep copies, and
+/// tree-clock joins — across the
 /// clock sizes that matter (8 to 256 threads, 256 being TSan's fixed clock
 /// size).
 ///
@@ -87,6 +88,22 @@ void BM_OrderedListVisitPrefix(benchmark::State &State) {
   }
 }
 BENCHMARK(BM_OrderedListVisitPrefix)->Arg(1)->Arg(6)->Arg(64)->Arg(256);
+
+void BM_CountAhead(benchmark::State &State) {
+  // SO's acquire gate: the one kernel pass that counts a releaser's list
+  // entries ahead of an acquirer's, over the whole width. Set against
+  // VisitPrefix's per-entry price, it gives the gate's break-even prefix.
+  size_t N = State.range(0);
+  OrderedList Src(N), Acq(N);
+  SplitMix64 Rng(6);
+  for (int I = 0; I < 1000; ++I) {
+    Src.set(static_cast<ThreadId>(Rng.nextBelow(N)), I);
+    Acq.set(static_cast<ThreadId>(Rng.nextBelow(N)), I);
+  }
+  for (auto _ : State)
+    benchmark::DoNotOptimize(simd::countGreater(Src.data(), Acq.data(), N));
+}
+BENCHMARK(BM_CountAhead)->Arg(8)->Arg(64)->Arg(256);
 
 void BM_OrderedListDeepCopy(benchmark::State &State) {
   size_t N = State.range(0);

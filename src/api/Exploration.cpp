@@ -23,7 +23,7 @@ enum class RefKind {
   FullExact,    ///< Event-exact vs dedup(declaredRaces(false)) — Djit+.
   FullLocations,///< Racy-location set vs the full reference — FT.
   MarkedExact,  ///< Event-exact vs dedup(declaredRaces(true)) — ST/SU/SO.
-  MarkedMutexOnly, ///< MarkedExact, but only on atomics-free schedules — TC.
+  MarkedNoReleaseJoin, ///< MarkedExact, but only without release-joins — TC.
 };
 
 RefKind refKindFor(EngineKind K) {
@@ -33,7 +33,7 @@ RefKind refKindFor(EngineKind K) {
   case EngineKind::FastTrack:
     return RefKind::FullLocations;
   case EngineKind::TreeClockFull:
-    return RefKind::MarkedMutexOnly;
+    return RefKind::MarkedNoReleaseJoin;
   case EngineKind::SamplingNaive:
   case EngineKind::SamplingU:
   case EngineKind::SamplingO:
@@ -88,7 +88,7 @@ ExploreReport sampletrack::api::runExploration(const SessionConfig &Cfg,
   for (size_t I = 0; I < Kinds.size(); ++I)
     R.Engines[I].Engine = engineKindName(Kinds[I]);
 
-  const bool WorkloadHasAtomics = W.hasAtomicOps();
+  const bool WorkloadHasReleaseJoins = W.hasReleaseJoins();
   std::unordered_set<uint64_t> OracleMarkedUnion, OracleFullUnion;
   std::vector<std::unordered_set<uint64_t>> EngineUnion(Kinds.size());
 
@@ -145,8 +145,8 @@ ExploreReport sampletrack::api::runExploration(const SessionConfig &Cfg,
         EngineUnion[L].insert(triage::RaceSignature::of(Rep).Value);
 
       RefKind Ref = refKindFor(Kinds[L]);
-      if (Ref == RefKind::MarkedMutexOnly) {
-        if (WorkloadHasAtomics)
+      if (Ref == RefKind::MarkedNoReleaseJoin) {
+        if (WorkloadHasReleaseJoins)
           continue; // No exact reference for TC here; leave unchecked.
         Ref = RefKind::MarkedExact;
       }

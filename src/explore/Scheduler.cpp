@@ -121,7 +121,7 @@ struct Scheduler::Sim {
 Scheduler::Scheduler(const Workload &W, ExploreConfig C)
     : W(W), Cfg(C) {
   assert((Cfg.Mode == ExploreMode::Exhaustive || Cfg.MaxSchedules > 0) &&
-         "Random/Pct exploration needs a nonzero attempt budget");
+         "Random/Pct exploration needs a nonzero schedule budget");
   if (Cfg.Mode == ExploreMode::Exhaustive) {
     DfsSim = std::make_unique<Sim>(W);
     DfsStack.emplace_back();
@@ -228,7 +228,8 @@ bool Scheduler::runWalk(uint64_t AttemptSeed, std::vector<ThreadId> &Choices) {
 }
 
 bool Scheduler::nextRandomLike(Schedule &Out) {
-  while (Attempts < Cfg.MaxSchedules) {
+  while (Emitted < Cfg.MaxSchedules &&
+         Attempts < Cfg.MaxSchedules * AttemptsPerSchedule) {
     // Per-attempt seeding: attempt k is reproducible without replaying the
     // k - 1 attempts before it.
     uint64_t AttemptSeed =

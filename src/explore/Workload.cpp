@@ -73,11 +73,10 @@ bool explore::Workload::hasBlockingOps() const {
   return false;
 }
 
-bool explore::Workload::hasAtomicOps() const {
+bool explore::Workload::hasReleaseJoins() const {
   for (const std::vector<Op> &P : Programs)
     for (const Op &O : P)
-      if (O.Kind == OpKind::ReleaseStore || O.Kind == OpKind::ReleaseJoin ||
-          O.Kind == OpKind::AcquireLoad)
+      if (O.Kind == OpKind::ReleaseJoin)
         return true;
   return false;
 }

@@ -35,8 +35,9 @@
 ///  - ST / SU / SO / SO-noepoch — event-exact match of
 ///    dedupDeclaredRaces(declaredRaces(true)), Lemma 4's semantics.
 ///  - TC-full — the sampled reference, checked only on schedules without
-///    non-mutex atomics (its conservative atomic handling is documented to
-///    diverge there); unchecked schedules don't count toward agreement.
+///    release-joins (TC replaces where a release-join joins, so it is
+///    documented to diverge there); release-stores and acquire-loads are
+///    checked. Unchecked schedules don't count toward agreement.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -83,6 +83,7 @@
 #include <algorithm>
 #include <cassert>
 #include <concepts>
+#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <type_traits>
@@ -636,7 +637,11 @@ private:
 /// D = U_l - U_t(LR_l) freshest list entries (Proposition 6). Visiting an
 /// entry is one compare against the acquirer's component
 /// (OrderedList::visitPrefixAhead); only entries strictly ahead pay for the
-/// copy-on-write break and the move to the head. Metrics::EntriesTraversed
+/// copy-on-write break and the move to the head. A long prefix is first
+/// priced by one simd pass that counts the entries ahead, which skips the
+/// walk when none is and cuts it short after the last one otherwise (see
+/// joinList); the counters below keep Algorithm 4's model prefix either
+/// way. Metrics::EntriesTraversed
 /// counts the visits: 1 for the releaser's out-of-line scalar plus
 /// min(D, T) per processed single-source acquire, and T per fork, join or
 /// multi-source join. Total timestamping work is O(|S| T^2), independent of
@@ -847,10 +852,23 @@ private:
     Threads[T].O.own(Pool, M).set(Of, Val);
   }
 
+  /// Whether a walk of \p Visits entries over width-\p Width lists first
+  /// counts the entries ahead in one kernel pass. The walk chases list
+  /// links at about ten times a kernel word's price, so the count pays for
+  /// itself once the prefix is an eighth of the width; below 8 entries the
+  /// walk is cheaper than any setup.
+  static constexpr bool countsAheadFirst(size_t Visits, size_t Width) {
+    return Visits >= 8 && Visits * 8 >= Width;
+  }
+
   /// Joins the first \p K entries of \p Src, plus its owner \p SrcTid's
   /// out-of-line component \p SrcOwnTime (applied first), into thread
   /// \p T's list. Adds the min(K, T) visited entries to EntriesTraversed;
-  /// returns the number applied.
+  /// returns the number applied. Past the countsAheadFirst gate, one
+  /// non-mutating simd pass counts the entries ahead and the walk stops
+  /// after that many applies (at once when none is ahead). Applies touch
+  /// only the entry applied, so the count taken before the walk is exactly
+  /// the walk's apply count: the same entries land in the same order.
   unsigned joinList(ThreadId T, const OrderedList &Src, size_t K,
                     ThreadId SrcTid, ClockValue SrcOwnTime, Metrics &M) {
     Thread &TS = Threads[T];
@@ -865,7 +883,13 @@ private:
     assert(SrcTid != T && "self-join");
     if (SrcOwnTime > Current(SrcTid))
       Apply(SrcTid, SrcOwnTime);
-    M.EntriesTraversed += Src.visitPrefixAhead(K, T, Current, Apply);
+    size_t Bound = SIZE_MAX;
+    if (countsAheadFirst(std::min(K, width()), width())) {
+      // The acquirer's own component never counts: it is authored locally.
+      Bound = simd::countGreater(Src.data(), TS.O->data(), width()) -
+              (Src.get(T) > Current(T));
+    }
+    M.EntriesTraversed += Src.visitPrefixAhead(K, T, Current, Apply, Bound);
     return Changed;
   }
 

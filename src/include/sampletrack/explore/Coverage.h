@@ -37,7 +37,7 @@ struct EngineCoverage {
   /// Schedules on which this engine was cross-checked against its oracle
   /// reference. Equal to the report's SchedulesRun except for engines
   /// without an exact reference on some trace shapes (the tree-clock
-  /// ablation is only checked on atomics-free schedules).
+  /// ablation is only checked on schedules without release-joins).
   uint64_t SchedulesChecked = 0;
   /// Checked schedules whose deduplicated signature set matched the oracle.
   uint64_t SchedulesAgreed = 0;

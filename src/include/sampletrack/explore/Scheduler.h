@@ -63,9 +63,11 @@ struct ExploreConfig {
   /// Seed for the Random/Pct walks (ignored by Exhaustive, whose order is
   /// structural).
   uint64_t Seed = 1;
-  /// Random/Pct: number of generation attempts (deadlocked or duplicate
-  /// attempts consume budget, so the emitted count can be lower). Must be
-  /// nonzero. Exhaustive: cap on emitted schedules, 0 = enumerate all.
+  /// Cap on emitted schedules. Random/Pct: must be nonzero; deadlocked or
+  /// duplicate walks emit nothing, and generation gives up after
+  /// Scheduler::AttemptsPerSchedule walks per requested schedule, so a
+  /// small or deadlock-prone space can emit fewer. Exhaustive: 0 =
+  /// enumerate all.
   size_t MaxSchedules = 64;
   /// Pct: number of priority change points per walk (the "d - 1" of
   /// PCT's depth-d guarantee).
@@ -91,13 +93,18 @@ struct Schedule {
 /// valid whenever next has returned false — or at any point midway.
 class Scheduler {
 public:
+  /// Random/Pct walks allowed per requested schedule: the attempt bound
+  /// that keeps generation finite when walks deadlock or repeat.
+  static constexpr size_t AttemptsPerSchedule = 8;
+
   Scheduler(const Workload &W, ExploreConfig C);
   ~Scheduler();
 
-  /// Produces the next schedule. Returns false when the budget is spent
-  /// (Random/Pct) or the space is exhausted (Exhaustive). A workload with
-  /// no operations has nothing to schedule: next() returns false
-  /// immediately in every mode (the empty interleaving is not emitted).
+  /// Produces the next schedule. Returns false when MaxSchedules were
+  /// emitted, when the attempt bound is spent (Random/Pct) or when the
+  /// space is exhausted (Exhaustive). A workload with no operations has
+  /// nothing to schedule: next() returns false immediately in every mode
+  /// (the empty interleaving is not emitted).
   bool next(Schedule &Out);
 
   /// Schedules emitted so far.

@@ -111,9 +111,9 @@ public:
   /// \ref unconstrainedInterleavingCount complete schedules.
   bool hasBlockingOps() const;
 
-  /// True iff any program contains a non-mutex synchronization operation
-  /// (release-store / release-join / acquire-load).
-  bool hasAtomicOps() const;
+  /// True iff any program contains a release-join, the one operation the
+  /// tree-clock ablation approximates.
+  bool hasReleaseJoins() const;
 
   /// The multinomial coefficient numOps()! / prod(len(program)!): the exact
   /// number of distinct interleavings when \ref hasBlockingOps is false

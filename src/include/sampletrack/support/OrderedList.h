@@ -24,6 +24,7 @@
 
 #include <cassert>
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -119,20 +120,23 @@ public:
   /// visit is that compare and nothing else; \p Current (ThreadId ->
   /// ClockValue) reads the acquirer's component at visit time, so it sees
   /// earlier applies. \p Self's own component is authored locally, so a
-  /// foreign copy of it is never fresher. Returns the number of entries
-  /// visited, min(K, T).
+  /// foreign copy of it is never fresher. The walk stops right after the
+  /// \p MaxApplies-th apply: a caller that knows how many entries are ahead
+  /// passes that count and skips the tail that would apply nothing (0 skips
+  /// the walk). Returns the model prefix min(K, T) however early it stops.
   template <typename CurrentT, typename ApplyT>
   size_t visitPrefixAhead(size_t K, ThreadId Self, CurrentT Current,
-                          ApplyT Apply) const {
+                          ApplyT Apply, size_t MaxApplies = SIZE_MAX) const {
     ThreadId Cur = Head;
-    size_t I = 0;
-    for (; I < K && Cur != NoThread; ++I) {
+    for (size_t I = 0; I < K && Cur != NoThread && MaxApplies != 0; ++I) {
       ClockValue Val = Times[Cur];
-      if (Cur != Self && Val > Current(Cur))
+      if (Cur != Self && Val > Current(Cur)) {
         Apply(Cur, Val);
+        --MaxApplies;
+      }
       Cur = NextLink[Cur];
     }
-    return I;
+    return K < size() ? K : size();
   }
 
   /// Pointwise comparison against a plain vector clock: every component of

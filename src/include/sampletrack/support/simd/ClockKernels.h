@@ -8,10 +8,11 @@
 /// \file
 /// The vectorized inner loops of every engine: pointwise max (the vector
 /// clock join of Eq. 4), pointwise <= (the \f$ \sqsubseteq \f$ of Eq. 3),
-/// the change-counting join Algorithm 3 charges to U_t(t), and component
-/// sums. All kernels operate on flat uint64_t arrays — the SoA storage of
-/// VectorClock and OrderedList — and are selected once at startup from a
-/// small tier ladder, best first:
+/// the change-counting join Algorithm 3 charges to U_t(t), the
+/// non-mutating count of components strictly ahead (SO's acquire gate), and
+/// component sums. All kernels operate on flat uint64_t arrays — the SoA
+/// storage of VectorClock and OrderedList — and are selected once at
+/// startup from a small tier ladder, best first:
 ///
 ///   - Avx512 x86-64 with AVX-512F, detected at runtime via cpuid. 8 lanes
 ///            per step with native unsigned max and compare; tails of 1-7
@@ -81,6 +82,8 @@ struct KernelTable {
   void (*JoinMax)(ClockValue *Dst, const ClockValue *Src, size_t N);
   unsigned (*JoinMaxCount)(ClockValue *Dst, const ClockValue *Src, size_t N);
   bool (*AllLeq)(const ClockValue *A, const ClockValue *B, size_t N);
+  unsigned (*CountGreater)(const ClockValue *A, const ClockValue *B,
+                           size_t N);
   ClockValue (*Sum)(const ClockValue *V, size_t N);
   Tier T;
 };
@@ -129,6 +132,20 @@ inline bool allLeq(const ClockValue *A, const ClockValue *B, size_t N) {
     return true;
   }
   return detail::table()->AllLeq(A, B, N);
+}
+
+/// The number of i in [0, N) with A[i] > B[i]; reads both arrays, writes
+/// neither. joinMaxCount's count without the join: SO's acquire uses it to
+/// learn how many list entries are ahead before it walks the list.
+inline unsigned countGreater(const ClockValue *A, const ClockValue *B,
+                             size_t N) {
+  if (N < detail::DispatchThreshold) {
+    unsigned Count = 0;
+    for (size_t I = 0; I < N; ++I)
+      Count += A[I] > B[I];
+    return Count;
+  }
+  return detail::table()->CountGreater(A, B, N);
 }
 
 /// True iff A[i] <= B'[i] for every i in [0, N), where B' is B with

@@ -7,10 +7,10 @@
 //
 // Tier implementations and the runtime dispatch. Every kernel here must be
 // bit-identical to the scalar tier: max and <= are exact lane-wise
-// functions, the change count is lane-order independent, and the sum is a
-// mod-2^64 reduction where addition commutes. The differential fuzz
-// harness's SimdTier axis and ClockTest's width-boundary property cases
-// hold every tier to that contract.
+// functions, the change and ahead counts are lane-order independent, and
+// the sum is a mod-2^64 reduction where addition commutes. The differential
+// fuzz harness's SimdTier axis and ClockTest's width-boundary property
+// cases hold every tier to that contract.
 //
 // uint64 lanes need care on the older ISAs: AVX2 has no unsigned 64-bit
 // compare or max, so comparisons run as signed compares after flipping the
@@ -70,6 +70,14 @@ bool allLeqScalar(const ClockValue *A, const ClockValue *B, size_t N) {
   return true;
 }
 
+unsigned countGreaterScalar(const ClockValue *A, const ClockValue *B,
+                            size_t N) {
+  unsigned Count = 0;
+  for (size_t I = 0; I < N; ++I)
+    Count += A[I] > B[I];
+  return Count;
+}
+
 ClockValue sumScalar(const ClockValue *V, size_t N) {
   ClockValue S = 0;
   for (size_t I = 0; I < N; ++I)
@@ -78,7 +86,8 @@ ClockValue sumScalar(const ClockValue *V, size_t N) {
 }
 
 constexpr detail::KernelTable ScalarTable = {
-    joinMaxScalar, joinMaxCountScalar, allLeqScalar, sumScalar, Tier::Scalar};
+    joinMaxScalar,      joinMaxCountScalar, allLeqScalar,
+    countGreaterScalar, sumScalar,          Tier::Scalar};
 
 //===----------------------------------------------------------------------===//
 // AVX2 tier (x86-64). Compiled with a function-level target attribute so
@@ -152,6 +161,22 @@ allLeqAvx2(const ClockValue *A, const ClockValue *B, size_t N) {
   return true;
 }
 
+__attribute__((target("avx2"))) unsigned
+countGreaterAvx2(const ClockValue *A, const ClockValue *B, size_t N) {
+  unsigned Count = 0;
+  size_t I = 0;
+  for (; I + 4 <= N; I += 4) {
+    __m256i Va = _mm256_loadu_si256(reinterpret_cast<const __m256i *>(A + I));
+    __m256i Vb = _mm256_loadu_si256(reinterpret_cast<const __m256i *>(B + I));
+    // One sign bit per 64-bit lane.
+    Count += static_cast<unsigned>(__builtin_popcount(static_cast<unsigned>(
+        _mm256_movemask_pd(_mm256_castsi256_pd(gtU64(Va, Vb))))));
+  }
+  for (; I < N; ++I)
+    Count += A[I] > B[I];
+  return Count;
+}
+
 __attribute__((target("avx2"))) ClockValue sumAvx2(const ClockValue *V,
                                                    size_t N) {
   __m256i Acc = _mm256_setzero_si256();
@@ -167,8 +192,9 @@ __attribute__((target("avx2"))) ClockValue sumAvx2(const ClockValue *V,
   return S;
 }
 
-constexpr detail::KernelTable Avx2Table = {joinMaxAvx2, joinMaxCountAvx2,
-                                           allLeqAvx2, sumAvx2, Tier::Avx2};
+constexpr detail::KernelTable Avx2Table = {
+    joinMaxAvx2, joinMaxCountAvx2, allLeqAvx2, countGreaterAvx2, sumAvx2,
+    Tier::Avx2};
 
 //===----------------------------------------------------------------------===//
 // AVX-512 tier (x86-64 with AVX-512F). Same function-level target attribute
@@ -237,6 +263,23 @@ allLeqAvx512(const ClockValue *A, const ClockValue *B, size_t N) {
   return true;
 }
 
+__attribute__((target("avx512f"))) unsigned
+countGreaterAvx512(const ClockValue *A, const ClockValue *B, size_t N) {
+  unsigned Count = 0;
+  size_t I = 0;
+  for (; I + 8 <= N; I += 8)
+    Count += static_cast<unsigned>(__builtin_popcount(_mm512_cmpgt_epu64_mask(
+        _mm512_loadu_si512(A + I), _mm512_loadu_si512(B + I))));
+  if (I < N) {
+    // Lanes outside the mask load as 0 > 0 and never count.
+    __mmask8 M = tailMask(N - I);
+    Count += static_cast<unsigned>(__builtin_popcount(
+        _mm512_cmpgt_epu64_mask(_mm512_maskz_loadu_epi64(M, A + I),
+                                _mm512_maskz_loadu_epi64(M, B + I))));
+  }
+  return Count;
+}
+
 __attribute__((target("avx512f"))) ClockValue
 sumAvx512(const ClockValue *V, size_t N) {
   __m512i Acc = _mm512_setzero_si512();
@@ -257,7 +300,8 @@ sumAvx512(const ClockValue *V, size_t N) {
 }
 
 constexpr detail::KernelTable Avx512Table = {
-    joinMaxAvx512, joinMaxCountAvx512, allLeqAvx512, sumAvx512, Tier::Avx512};
+    joinMaxAvx512,      joinMaxCountAvx512, allLeqAvx512,
+    countGreaterAvx512, sumAvx512,          Tier::Avx512};
 
 #endif // SAMPLETRACK_SIMD_X86
 
@@ -312,6 +356,19 @@ bool allLeqNeon(const ClockValue *A, const ClockValue *B, size_t N) {
   return true;
 }
 
+unsigned countGreaterNeon(const ClockValue *A, const ClockValue *B,
+                          size_t N) {
+  unsigned Count = 0;
+  size_t I = 0;
+  for (; I + 2 <= N; I += 2) {
+    uint64x2_t Gt = vcgtq_u64(vld1q_u64(A + I), vld1q_u64(B + I));
+    Count += static_cast<unsigned>(vaddvq_u64(vshrq_n_u64(Gt, 63)));
+  }
+  for (; I < N; ++I)
+    Count += A[I] > B[I];
+  return Count;
+}
+
 ClockValue sumNeon(const ClockValue *V, size_t N) {
   uint64x2_t Acc = vdupq_n_u64(0);
   size_t I = 0;
@@ -323,8 +380,9 @@ ClockValue sumNeon(const ClockValue *V, size_t N) {
   return S;
 }
 
-constexpr detail::KernelTable NeonTable = {joinMaxNeon, joinMaxCountNeon,
-                                           allLeqNeon, sumNeon, Tier::Neon};
+constexpr detail::KernelTable NeonTable = {
+    joinMaxNeon, joinMaxCountNeon, allLeqNeon, countGreaterNeon, sumNeon,
+    Tier::Neon};
 
 #endif // SAMPLETRACK_SIMD_NEON
 

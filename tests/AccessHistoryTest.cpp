@@ -9,9 +9,10 @@
 /// The sampling engines store Algorithm 2's access histories in constant
 /// space: Cw_x as the last sampled write's epoch, Cr_x as one read epoch
 /// that is promoted to a read vector clock when two unordered reads meet
-/// (SamplingBase.h). These hand-built traces pin each transition of that
-/// representation, and check event for event that ST, SU, SO and
-/// SO-noepoch still declare exactly what the Lemma 4 oracle declares.
+/// (engine::AccessHistory in EngineCore.h). These hand-built traces pin
+/// each transition of that representation, and check event for event that
+/// ST, SU, SO and SO-noepoch still declare exactly what the Lemma 4 oracle
+/// declares.
 /// ST pays exactly one full-clock operation per synchronization event, so
 /// its FullClockOps minus the trace's synchronization events is the access
 /// handlers' O(T) work: one per read promotion and one per write checked

@@ -20,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <utility>
@@ -218,6 +219,53 @@ TEST(OrderedList, VisitPrefixAheadMatchesPerEntryLoop) {
     ASSERT_EQ(Visited, std::min(K, N)) << "iter " << Iter;
     ASSERT_EQ(Got, RefApplied) << "iter " << Iter;
     ASSERT_EQ(Acq.str(), Ref.str()) << "iter " << Iter;
+  }
+}
+
+TEST(OrderedList, VisitPrefixAheadBoundedByAheadCountMatchesUnbounded) {
+  // Property: bounding the walk by the number of entries ahead (counted
+  // over the whole list by simd::countGreater, the acquirer's own component
+  // excluded, as SO's acquire does) or by the exact number the unbounded
+  // walk applies changes nothing: the same (Of, Val) sequence, the same
+  // min(K, T) return and the same resulting list order.
+  SplitMix64 Rng(31415);
+  for (int Iter = 0; Iter < 400; ++Iter) {
+    size_t N = 1 + Rng.nextBelow(40);
+    OrderedList Src(N), Acq(N);
+    for (int Op = 0; Op < 60; ++Op) {
+      Src.set(static_cast<ThreadId>(Rng.nextBelow(N)), Rng.nextBelow(20));
+      Acq.set(static_cast<ThreadId>(Rng.nextBelow(N)), Rng.nextBelow(20));
+    }
+    ThreadId Self = static_cast<ThreadId>(Rng.nextBelow(N));
+    size_t K = Rng.nextBelow(N + 3);
+
+    using Applied = std::vector<std::pair<ThreadId, ClockValue>>;
+    auto Walk = [&](OrderedList &Dst, size_t Bound, Applied &Got) {
+      return Src.visitPrefixAhead(
+          K, Self, [&](ThreadId Of) { return Dst.get(Of); },
+          [&](ThreadId Of, ClockValue Val) {
+            Got.emplace_back(Of, Val);
+            Dst.set(Of, Val);
+          },
+          Bound);
+    };
+    size_t Ahead = simd::countGreater(Src.data(), Acq.data(), N) -
+                   (Src.get(Self) > Acq.get(Self));
+
+    OrderedList Ref = Acq;
+    Applied RefApplied;
+    size_t RefVisited = Walk(Ref, SIZE_MAX, RefApplied);
+    ASSERT_LE(RefApplied.size(), Ahead) << "iter " << Iter;
+
+    for (size_t Bound : {Ahead, RefApplied.size()}) {
+      OrderedList Got = Acq;
+      Applied GotApplied;
+      ASSERT_EQ(Walk(Got, Bound, GotApplied), RefVisited)
+          << "iter " << Iter << " bound " << Bound;
+      ASSERT_EQ(GotApplied, RefApplied)
+          << "iter " << Iter << " bound " << Bound;
+      ASSERT_EQ(Got.str(), Ref.str()) << "iter " << Iter << " bound " << Bound;
+    }
   }
 }
 
@@ -435,6 +483,67 @@ TEST(SimdKernels, AllTiersMatchScalarAcrossWidthBoundaries) {
         EXPECT_EQ(JC.joinCountingChanges(B), RefChanged)
             << simd::tierName(T) << " N=" << N;
         EXPECT_EQ(JC, RefCount) << simd::tierName(T) << " N=" << N;
+      }
+    }
+  }
+}
+
+TEST(SimdKernels, CountGreaterMatchesScalarAcrossWidths) {
+  // The ahead count behind SO's acquire gate, through the public entry and
+  // through each tier's table entry directly (the public one inlines scalar
+  // below the dispatch threshold), at widths 0-300: every tail length of
+  // every lane width, after zero to many full steps. Lanes mix equal,
+  // greater and less pairs, small and at or above 2^63, where a signed
+  // compare (AVX2's emulation without its sign flip) miscounts.
+  std::vector<simd::Tier> Tiers = hostSimdTiers();
+  auto Reference = [](const std::vector<ClockValue> &A,
+                      const std::vector<ClockValue> &B) {
+    unsigned Count = 0;
+    for (size_t I = 0; I < A.size(); ++I)
+      Count += A[I] > B[I];
+    return Count;
+  };
+  SplitMix64 Rng(8128);
+  const ClockValue High = ClockValue(1) << 63;
+  for (size_t N = 0; N <= 300; ++N) {
+    for (int Iter = 0; Iter < 8; ++Iter) {
+      std::vector<ClockValue> A(N), B(N);
+      for (size_t I = 0; I < N; ++I) {
+        ClockValue Base = Rng.nextBool(0.3) ? High + Rng.nextBelow(1000)
+                                            : Rng.nextBelow(1000);
+        ClockValue Other = Rng.nextBool(0.2) ? Base ^ High : Base;
+        switch (Rng.nextBelow(3)) {
+        case 0: // Equal.
+          A[I] = B[I] = Base;
+          break;
+        case 1: // A ahead (across the sign bit when Other flipped it).
+          A[I] = std::max(Base, Other) + 1;
+          B[I] = std::min(Base, Other);
+          break;
+        default: // A behind.
+          A[I] = std::min(Base, Other);
+          B[I] = std::max(Base, Other) + 1;
+          break;
+        }
+      }
+      unsigned Ref = Reference(A, B);
+      {
+        TierGuard G(simd::Tier::Scalar);
+        ASSERT_TRUE(G.ok());
+        ASSERT_EQ(simd::countGreater(A.data(), B.data(), N), Ref)
+            << "scalar N=" << N;
+        ASSERT_EQ(simd::detail::table()->CountGreater(A.data(), B.data(), N),
+                  Ref)
+            << "scalar N=" << N;
+      }
+      for (simd::Tier T : Tiers) {
+        TierGuard G(T);
+        ASSERT_TRUE(G.ok());
+        ASSERT_EQ(simd::countGreater(A.data(), B.data(), N), Ref)
+            << simd::tierName(T) << " N=" << N;
+        ASSERT_EQ(simd::detail::table()->CountGreater(A.data(), B.data(), N),
+                  Ref)
+            << simd::tierName(T) << " N=" << N;
       }
     }
   }

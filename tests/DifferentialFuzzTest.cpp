@@ -109,6 +109,53 @@ Trace randomTrace(SplitMix64 &Rng) {
   }
 }
 
+/// A random trace whose non-mutex synchronization is release-stores and
+/// acquire-loads only (no release-join), mixed with accesses and whole
+/// critical sections: the shapes on which the tree-clock ablation is exact
+/// although they carry atomics. Locks are sync ids [0, Locks), atomic
+/// objects the ids after them.
+Trace releaseStoreTrace(SplitMix64 &Rng) {
+  size_t Threads = 2 + Rng.nextBelow(7);
+  size_t Locks = 1 + Rng.nextBelow(3);
+  size_t Atomics = 1 + Rng.nextBelow(4);
+  size_t Vars = 2 + Rng.nextBelow(24);
+  size_t Steps = 40 + Rng.nextBelow(400);
+  double SyncShare = 0.1 + Rng.nextDouble() * 0.5;
+  Trace T;
+  auto Access = [&](ThreadId Tid) {
+    VarId X = static_cast<VarId>(Rng.nextBelow(Vars));
+    if (Rng.nextBool(0.5))
+      T.write(Tid, X);
+    else
+      T.read(Tid, X);
+  };
+  for (size_t Step = 0; Step < Steps; ++Step) {
+    ThreadId Tid = static_cast<ThreadId>(Rng.nextBelow(Threads));
+    if (!Rng.nextBool(SyncShare)) {
+      Access(Tid);
+      continue;
+    }
+    SyncId Atomic = static_cast<SyncId>(Locks + Rng.nextBelow(Atomics));
+    switch (Rng.nextBelow(3)) {
+    case 0:
+      T.releaseStore(Tid, Atomic);
+      break;
+    case 1:
+      T.acquireLoad(Tid, Atomic);
+      break;
+    default: {
+      SyncId L = static_cast<SyncId>(Rng.nextBelow(Locks));
+      T.acquire(Tid, L);
+      for (uint64_t I = Rng.nextBelow(3); I > 0; --I)
+        Access(Tid);
+      T.release(Tid, L);
+      break;
+    }
+    }
+  }
+  return T;
+}
+
 /// A generated workload with 9..72 threads, so clock passes reach the
 /// dispatched SIMD kernels (randomTrace stays mostly under their 8-wide
 /// threshold). \p Threads = 0 draws the width.
@@ -231,6 +278,31 @@ TEST(DifferentialFuzz, AllEnginesAgreeOnHundredsOfRandomCases) {
                 declaredSummary(T, EngineKind::SamplingO))
         << "SO warehouse summary diverged from oracle, case " << Case;
   }
+}
+
+TEST(DifferentialFuzz, TreeClockMatchesOracleWithReleaseStoresAndLoads) {
+  // TC replaces only where a release-join joins; release-stores replace and
+  // acquire-loads join in every engine, so on these traces TC must declare
+  // exactly the oracle's sampled races, as SO does.
+  SplitMix64 Rng(777001);
+  const int Cases = fuzzCases(250);
+  int Racy = 0;
+  for (int Case = 0; Case < Cases; ++Case) {
+    Trace T = releaseStoreTrace(Rng);
+    ASSERT_TRUE(T.validate()) << "case " << Case;
+    ASSERT_EQ(T.countKind(OpKind::ReleaseJoin), 0u);
+    randomMark(T, Rng);
+    HBClosureOracle Oracle(T);
+    std::vector<size_t> Expected =
+        dedupDeclaredRaces(T, Oracle.declaredRaces(/*MarkedOnly=*/true));
+    ASSERT_EQ(Expected, declared(T, EngineKind::TreeClockFull))
+        << "TC diverged, case " << Case;
+    ASSERT_EQ(Expected, declared(T, EngineKind::SamplingO))
+        << "SO diverged, case " << Case;
+    Racy += !Expected.empty();
+  }
+  // Not vacuous: most cases declare races for the engines to match.
+  EXPECT_GT(Racy, Cases / 2);
 }
 
 TEST(DifferentialFuzz, FullEnginesMatchOracleOnRandomCases) {

@@ -161,6 +161,35 @@ TEST(ExhaustiveMode, MaxSchedulesCapsEnumeration) {
   EXPECT_EQ(enumerate(W, C).size(), 5u);
 }
 
+TEST(Scheduler, MaxSchedulesBoundsEmittedSchedulesNotAttempts) {
+  // A deadlock-prone space: walks that dead-end or repeat must not use up
+  // the budget, so small budgets still emit, and no budget is exceeded.
+  Trace T = generateWorkload([] {
+    GenConfig G;
+    G.NumThreads = 5;
+    G.NumEvents = 300;
+    G.Seed = 11;
+    return G;
+  }());
+  Workload W = Workload::fromTrace(T);
+  for (ExploreMode M : {ExploreMode::Random, ExploreMode::Pct}) {
+    for (size_t Budget : {1u, 2u, 4u, 8u}) {
+      ExploreConfig C;
+      C.Mode = M;
+      C.Seed = 1234;
+      C.MaxSchedules = Budget;
+      Scheduler S(W, C);
+      Schedule Sch;
+      size_t Emitted = 0;
+      while (S.next(Sch))
+        ++Emitted;
+      EXPECT_EQ(Emitted, Budget) << exploreModeName(M) << " budget " << Budget;
+      EXPECT_LE(S.attempts(), Budget * Scheduler::AttemptsPerSchedule);
+      EXPECT_EQ(Emitted + S.deadlocked() + S.duplicates(), S.attempts());
+    }
+  }
+}
+
 TEST(Scheduler, DeadlockedBranchesAreCountedNeverEmitted) {
   // Classic ABBA: each emitted schedule must fully serialize one thread's
   // nested section before the other enters both locks.
@@ -189,7 +218,9 @@ TEST(Scheduler, DeadlockedBranchesAreCountedNeverEmitted) {
   EXPECT_GT(Complete, 0u);
   EXPECT_GT(S.deadlocked(), 0u); // The ABBA branches dead-ended.
 
-  // Random mode hits the same deadlocks; they consume budget, never emit.
+  // Random mode hits the same deadlocks; they spend attempts, never emit.
+  // The space holds fewer than 50 distinct schedules, so generation stops
+  // at the attempt bound, not at the emission cap.
   ExploreConfig RC;
   RC.Mode = ExploreMode::Random;
   RC.MaxSchedules = 50;
@@ -197,7 +228,9 @@ TEST(Scheduler, DeadlockedBranchesAreCountedNeverEmitted) {
   size_t Emitted = 0;
   while (SR.next(Sch))
     ++Emitted;
-  EXPECT_EQ(SR.attempts(), 50u);
+  EXPECT_LT(Emitted, 50u);
+  EXPECT_EQ(SR.attempts(), 50u * Scheduler::AttemptsPerSchedule);
+  EXPECT_GT(SR.deadlocked(), 0u);
   EXPECT_EQ(Emitted + SR.deadlocked() + SR.duplicates(), SR.attempts());
 }
 
@@ -422,23 +455,36 @@ TEST(ExploreAgreement, AllSixEnginesMatchOracleOnEverySchedule) {
   }
 }
 
-TEST(ExploreAgreement, TreeClockLaneIsGatedToMutexOnlySchedules) {
+TEST(ExploreAgreement, TreeClockLaneIsGatedToReleaseJoinFreeSchedules) {
   api::SessionConfig Cfg;
   Cfg.Sampling = api::SamplerKind::Always;
   Cfg.Engines = {EngineKind::SamplingO, EngineKind::TreeClockFull};
 
-  // Atomics present: the TC lane still runs, but has no exact reference,
-  // so it is never checked (and never counted against agreement).
+  // Release-stores and acquire-loads: TC is exact, so it is checked on
+  // every schedule.
   Workload Atomic = atomicPublishPair();
+  ASSERT_FALSE(Atomic.hasReleaseJoins());
   ExploreReport RA = api::runExploration(Cfg, Atomic, exhaustiveAll());
   ASSERT_EQ(RA.Engines.size(), 2u);
-  EXPECT_EQ(RA.Engines[1].SchedulesChecked, 0u);
+  EXPECT_EQ(RA.Engines[1].SchedulesChecked, RA.SchedulesRun);
+  EXPECT_EQ(RA.Engines[1].SchedulesAgreed, RA.SchedulesRun);
   EXPECT_EQ(RA.Engines[0].SchedulesChecked, RA.SchedulesRun);
   EXPECT_TRUE(RA.AllAgreed);
 
+  // A release-join: the TC lane still runs, but has no exact reference,
+  // so it is never checked (and never counted against agreement).
+  Workload Join = atomicPublishPair();
+  Join.releaseJoin(1, 0);
+  ASSERT_TRUE(Join.hasReleaseJoins());
+  ExploreReport RJ = api::runExploration(Cfg, Join, exhaustiveAll());
+  ASSERT_GT(RJ.SchedulesRun, 0u);
+  EXPECT_EQ(RJ.Engines[1].SchedulesChecked, 0u);
+  EXPECT_EQ(RJ.Engines[0].SchedulesChecked, RJ.SchedulesRun);
+  EXPECT_TRUE(RJ.AllAgreed);
+
   // Mutex-only workloads check the TC lane on every schedule.
   Workload Mutex = Workload::fromTrace(generatePingPong(2, 2, 8, 9));
-  ASSERT_FALSE(Mutex.hasAtomicOps());
+  ASSERT_FALSE(Mutex.hasReleaseJoins());
   ExploreConfig EC;
   EC.Mode = ExploreMode::Random;
   EC.MaxSchedules = exploreSchedules(5);
