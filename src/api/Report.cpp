@@ -7,6 +7,7 @@
 
 #include "sampletrack/api/Report.h"
 
+#include "sampletrack/support/Json.h"
 #include "sampletrack/triage/Exporters.h"
 
 #include <fstream>
@@ -14,38 +15,9 @@
 
 using namespace sampletrack;
 using namespace sampletrack::api;
+using support::jsonEscape;
 
 namespace {
-
-std::string jsonEscape(const std::string &S) {
-  std::string Out;
-  Out.reserve(S.size() + 2);
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += C;
-      }
-    }
-  }
-  return Out;
-}
 
 void emitMetrics(std::ostringstream &OS, const Metrics &M,
                  const char *Indent) {

@@ -68,6 +68,11 @@ public:
                         std::string *Error = nullptr);
 };
 
+/// \p S as the body of a JSON string literal, without the quotes: '"' and
+/// '\\' get a backslash, newline and tab their short escapes, and every
+/// other control character the \u00XX form.
+std::string jsonEscape(std::string_view S);
+
 } // namespace support
 } // namespace sampletrack
 

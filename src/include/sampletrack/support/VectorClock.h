@@ -34,6 +34,7 @@
 #include <cassert>
 #include <cstddef>
 #include <cstring>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -176,7 +177,8 @@ public:
   /// Sum of all components; the paper bounds this by |S| for sampling
   /// timestamps (Section 4.1).
   ClockValue componentSum() const {
-    return simd::sum(Values.data(), Active);
+    return std::accumulate(Values.begin(), Values.begin() + Active,
+                           ClockValue(0));
   }
 
   bool operator==(const VectorClock &Other) const {

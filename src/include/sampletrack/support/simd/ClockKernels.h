@@ -8,9 +8,9 @@
 /// \file
 /// The vectorized inner loops of every engine: pointwise max (the vector
 /// clock join of Eq. 4), pointwise <= (the \f$ \sqsubseteq \f$ of Eq. 3),
-/// the change-counting join Algorithm 3 charges to U_t(t), the
-/// non-mutating count of components strictly ahead (SO's acquire gate), and
-/// component sums. All kernels operate on flat uint64_t arrays — the SoA
+/// the change-counting join Algorithm 3 charges to U_t(t), and the
+/// non-mutating count of components strictly ahead (SO's acquire gate).
+/// All kernels operate on flat uint64_t arrays — the SoA
 /// storage of VectorClock and OrderedList — and are selected once at
 /// startup from a small tier ladder, best first:
 ///
@@ -84,7 +84,6 @@ struct KernelTable {
   bool (*AllLeq)(const ClockValue *A, const ClockValue *B, size_t N);
   unsigned (*CountGreater)(const ClockValue *A, const ClockValue *B,
                            size_t N);
-  ClockValue (*Sum)(const ClockValue *V, size_t N);
   Tier T;
 };
 
@@ -162,17 +161,6 @@ inline bool allLeqWithOverride(const ClockValue *A, const ClockValue *B,
   return A[OverrideTid] <= OverrideVal && allLeq(A, B, OverrideTid) &&
          allLeq(A + OverrideTid + 1, B + OverrideTid + 1,
                 N - OverrideTid - 1);
-}
-
-/// Sum of V[0..N) (mod 2^64; addition commutes, so lane order is free).
-inline ClockValue sum(const ClockValue *V, size_t N) {
-  if (N < detail::DispatchThreshold) {
-    ClockValue S = 0;
-    for (size_t I = 0; I < N; ++I)
-      S += V[I];
-    return S;
-  }
-  return detail::table()->Sum(V, N);
 }
 
 } // namespace simd

@@ -29,9 +29,14 @@
 #include "sampletrack/triage/RaceSignature.h"
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 namespace sampletrack {
+namespace support {
+class ByteReader;
+} // namespace support
+
 namespace triage {
 
 /// One deduplicated race: its signature, how many times it was declared,
@@ -154,6 +159,35 @@ private:
 /// exemplar wins, entries keep first-seen order. One scratch sink probes
 /// every part, so the merge is linear in total distinct signatures.
 TriageSummary mergeSummaries(const std::vector<TriageSummary> &Parts);
+
+//===----------------------------------------------------------------------===//
+// The shared byte forms (support/ByteCodec.h discipline). An exemplar is
+//   u64 event  u32 tid  u64 var  u8 kind
+// in every warehouse format, and a summary body is
+//   u64 declared  u64 dropped  u8 capped  u64 count
+//   count * { u64 sig  u64 hits  exemplar }
+// byte for byte in STSG uploads and STTJ journal records.
+//===----------------------------------------------------------------------===//
+
+/// Bytes of one encoded exemplar, and of one encoded summary entry.
+inline constexpr size_t ExemplarBytes = 21;
+inline constexpr size_t SummaryEntryBytes = 16 + ExemplarBytes;
+
+void appendExemplar(std::string &Out, const RaceReport &R);
+/// Reads what appendExemplar wrote; false on a short input. The op kind is
+/// read as stored: callers reject kinds past OpKind::AcquireLoad.
+bool readExemplar(support::ByteReader &Rd, RaceReport &R);
+
+void appendSummaryBody(std::string &Out, const TriageSummary &S);
+/// Reads a summary body that runs to the end of \p Rd and checks it the
+/// way every reader of outside input must: the entry count fits the bytes
+/// left (checked before anything is reserved), the capped byte is 0 or 1,
+/// every entry has a known op kind, a nonzero hit count and a signature no
+/// earlier entry has, no bytes trail the last entry, the declared count
+/// covers the entries' hits plus the dropped count, and the capped flag is
+/// set iff something was dropped. \p Out is assigned only on success.
+bool readSummaryBody(support::ByteReader &Rd, TriageSummary &Out,
+                     std::string *Error);
 
 } // namespace triage
 } // namespace sampletrack

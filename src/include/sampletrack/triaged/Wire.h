@@ -39,6 +39,11 @@
 ///              body[len]
 /// \endcode
 ///
+/// Both are written and read through support/ByteCodec.h; the summary
+/// payload after sigVersion is triage::appendSummaryBody's body, the same
+/// bytes a TriageLog journal record carries, and decodeSummary checks it
+/// with triage::readSummaryBody.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SAMPLETRACK_TRIAGED_WIRE_H

@@ -8,6 +8,7 @@
 #include "sampletrack/prof/ChromeTrace.h"
 
 #include "sampletrack/prof/Profiler.h"
+#include "sampletrack/support/Json.h"
 
 #include <algorithm>
 #include <cstdio>
@@ -15,23 +16,9 @@
 namespace sampletrack {
 namespace prof {
 
-namespace {
+using support::jsonEscape;
 
-std::string jsonEscape(std::string_view S) {
-  std::string Out;
-  Out.reserve(S.size());
-  for (char C : S) {
-    if (C == '"')
-      Out += "\\\"";
-    else if (C == '\\')
-      Out += "\\\\";
-    else if (static_cast<unsigned char>(C) < 0x20)
-      Out += ' ';
-    else
-      Out += C;
-  }
-  return Out;
-}
+namespace {
 
 /// Microseconds with sub-µs precision, relative to \p Base.
 std::string micros(uint64_t Nanos, uint64_t Base) {

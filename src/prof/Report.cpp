@@ -7,10 +7,14 @@
 
 #include "sampletrack/prof/Report.h"
 
+#include "sampletrack/support/Json.h"
+
 #include <cstdio>
 
 namespace sampletrack {
 namespace prof {
+
+using support::jsonEscape;
 
 namespace {
 
@@ -19,36 +23,6 @@ void stripNode(ReportNode &N) {
   N.ExclusiveNanos = 0;
   for (ReportNode &C : N.Children)
     stripNode(C);
-}
-
-std::string jsonEscape(const std::string &S) {
-  std::string Out;
-  Out.reserve(S.size());
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += C;
-      }
-    }
-  }
-  return Out;
 }
 
 std::string fmtNanos(uint64_t Nanos) {

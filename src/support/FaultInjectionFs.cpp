@@ -7,6 +7,8 @@
 
 #include "sampletrack/support/FaultInjectionFs.h"
 
+#include "sampletrack/support/ByteCodec.h"
+
 #include <algorithm>
 #include <iterator>
 #include <type_traits>
@@ -15,12 +17,6 @@ using namespace sampletrack;
 using namespace sampletrack::support;
 
 namespace {
-
-bool fail(std::string *Error, const std::string &Msg) {
-  if (Error)
-    *Error = Msg;
-  return false;
-}
 
 bool isUnder(const std::string &Path, const std::string &Dir) {
   return Path.size() > Dir.size() + 1 && Path.compare(0, Dir.size(), Dir) == 0 &&

@@ -7,6 +7,8 @@
 
 #include "sampletrack/support/FileSystem.h"
 
+#include "sampletrack/support/ByteCodec.h"
+
 #include <dirent.h>
 #include <fcntl.h>
 #include <sys/stat.h>
@@ -42,12 +44,6 @@ std::string sampletrack::support::parentDirOf(const std::string &Path) {
 }
 
 namespace {
-
-bool fail(std::string *Error, const std::string &Msg) {
-  if (Error)
-    *Error = Msg;
-  return false;
-}
 
 /// Unbuffered fd-backed writable file. No stdio layer between the
 /// durability code and the kernel: write() maps to ::write (with EINTR

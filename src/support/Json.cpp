@@ -371,5 +371,36 @@ bool JsonValue::parseFile(const std::string &Path, JsonValue &Out,
   return parse(Os.str(), Out, Error);
 }
 
+std::string jsonEscape(std::string_view S) {
+  std::string Out;
+  Out.reserve(S.size());
+  for (char C : S) {
+    switch (C) {
+    case '"':
+      Out += "\\\"";
+      break;
+    case '\\':
+      Out += "\\\\";
+      break;
+    case '\n':
+      Out += "\\n";
+      break;
+    case '\t':
+      Out += "\\t";
+      break;
+    default:
+      if (static_cast<unsigned char>(C) < 0x20) {
+        static constexpr char Hex[] = "0123456789abcdef";
+        Out += "\\u00";
+        Out += Hex[C >> 4];
+        Out += Hex[C & 0xf];
+      } else {
+        Out += C;
+      }
+    }
+  }
+  return Out;
+}
+
 } // namespace support
 } // namespace sampletrack

@@ -7,8 +7,8 @@
 //
 // Tier implementations and the runtime dispatch. Every kernel here must be
 // bit-identical to the scalar tier: max and <= are exact lane-wise
-// functions, the change and ahead counts are lane-order independent, and
-// the sum is a mod-2^64 reduction where addition commutes. The differential
+// functions, and the change and ahead counts are lane-order independent.
+// The differential
 // fuzz harness's SimdTier axis and ClockTest's width-boundary property
 // cases hold every tier to that contract.
 //
@@ -78,16 +78,9 @@ unsigned countGreaterScalar(const ClockValue *A, const ClockValue *B,
   return Count;
 }
 
-ClockValue sumScalar(const ClockValue *V, size_t N) {
-  ClockValue S = 0;
-  for (size_t I = 0; I < N; ++I)
-    S += V[I];
-  return S;
-}
-
 constexpr detail::KernelTable ScalarTable = {
-    joinMaxScalar,      joinMaxCountScalar, allLeqScalar,
-    countGreaterScalar, sumScalar,          Tier::Scalar};
+    joinMaxScalar, joinMaxCountScalar, allLeqScalar, countGreaterScalar,
+    Tier::Scalar};
 
 //===----------------------------------------------------------------------===//
 // AVX2 tier (x86-64). Compiled with a function-level target attribute so
@@ -177,24 +170,8 @@ countGreaterAvx2(const ClockValue *A, const ClockValue *B, size_t N) {
   return Count;
 }
 
-__attribute__((target("avx2"))) ClockValue sumAvx2(const ClockValue *V,
-                                                   size_t N) {
-  __m256i Acc = _mm256_setzero_si256();
-  size_t I = 0;
-  for (; I + 4 <= N; I += 4)
-    Acc = _mm256_add_epi64(
-        Acc, _mm256_loadu_si256(reinterpret_cast<const __m256i *>(V + I)));
-  alignas(32) ClockValue Lanes[4];
-  _mm256_store_si256(reinterpret_cast<__m256i *>(Lanes), Acc);
-  ClockValue S = Lanes[0] + Lanes[1] + Lanes[2] + Lanes[3];
-  for (; I < N; ++I)
-    S += V[I];
-  return S;
-}
-
 constexpr detail::KernelTable Avx2Table = {
-    joinMaxAvx2, joinMaxCountAvx2, allLeqAvx2, countGreaterAvx2, sumAvx2,
-    Tier::Avx2};
+    joinMaxAvx2, joinMaxCountAvx2, allLeqAvx2, countGreaterAvx2, Tier::Avx2};
 
 //===----------------------------------------------------------------------===//
 // AVX-512 tier (x86-64 with AVX-512F). Same function-level target attribute
@@ -280,28 +257,9 @@ countGreaterAvx512(const ClockValue *A, const ClockValue *B, size_t N) {
   return Count;
 }
 
-__attribute__((target("avx512f"))) ClockValue
-sumAvx512(const ClockValue *V, size_t N) {
-  __m512i Acc = _mm512_setzero_si512();
-  size_t I = 0;
-  for (; I + 8 <= N; I += 8)
-    Acc = _mm512_add_epi64(Acc, _mm512_loadu_si512(V + I));
-  if (I < N)
-    Acc = _mm512_add_epi64(Acc,
-                           _mm512_maskz_loadu_epi64(tailMask(N - I), V + I));
-  // Lane store rather than _mm512_reduce_add_epi64, whose GCC 12 expansion
-  // trips the same -Werror=uninitialized as the unmasked max.
-  alignas(64) ClockValue Lanes[8];
-  _mm512_store_si512(Lanes, Acc);
-  ClockValue S = 0;
-  for (ClockValue L : Lanes)
-    S += L;
-  return S;
-}
-
 constexpr detail::KernelTable Avx512Table = {
-    joinMaxAvx512,      joinMaxCountAvx512, allLeqAvx512,
-    countGreaterAvx512, sumAvx512,          Tier::Avx512};
+    joinMaxAvx512, joinMaxCountAvx512, allLeqAvx512, countGreaterAvx512,
+    Tier::Avx512};
 
 #endif // SAMPLETRACK_SIMD_X86
 
@@ -369,20 +327,8 @@ unsigned countGreaterNeon(const ClockValue *A, const ClockValue *B,
   return Count;
 }
 
-ClockValue sumNeon(const ClockValue *V, size_t N) {
-  uint64x2_t Acc = vdupq_n_u64(0);
-  size_t I = 0;
-  for (; I + 2 <= N; I += 2)
-    Acc = vaddq_u64(Acc, vld1q_u64(V + I));
-  ClockValue S = vgetq_lane_u64(Acc, 0) + vgetq_lane_u64(Acc, 1);
-  for (; I < N; ++I)
-    S += V[I];
-  return S;
-}
-
 constexpr detail::KernelTable NeonTable = {
-    joinMaxNeon, joinMaxCountNeon, allLeqNeon, countGreaterNeon, sumNeon,
-    Tier::Neon};
+    joinMaxNeon, joinMaxCountNeon, allLeqNeon, countGreaterNeon, Tier::Neon};
 
 #endif // SAMPLETRACK_SIMD_NEON
 

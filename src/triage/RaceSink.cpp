@@ -7,7 +7,10 @@
 
 #include "sampletrack/triage/RaceSink.h"
 
+#include "sampletrack/support/ByteCodec.h"
+
 #include <cassert>
+#include <unordered_set>
 
 using namespace sampletrack;
 using namespace sampletrack::triage;
@@ -116,4 +119,80 @@ sampletrack::triage::mergeSummaries(const std::vector<TriageSummary> &Parts) {
   }
   Out.Entries = Tmp.summary().Entries;
   return Out;
+}
+
+void sampletrack::triage::appendExemplar(std::string &Out,
+                                         const RaceReport &R) {
+  support::putU64(Out, R.EventIndex);
+  support::putU32(Out, R.Tid);
+  support::putU64(Out, R.Var);
+  Out.push_back(static_cast<char>(R.Kind));
+}
+
+bool sampletrack::triage::readExemplar(support::ByteReader &Rd,
+                                       RaceReport &R) {
+  uint8_t Kind = 0;
+  if (!Rd.getU64(R.EventIndex) || !Rd.getU32(R.Tid) || !Rd.getU64(R.Var) ||
+      !Rd.getByte(Kind))
+    return false;
+  R.Kind = static_cast<OpKind>(Kind);
+  return true;
+}
+
+void sampletrack::triage::appendSummaryBody(std::string &Out,
+                                            const TriageSummary &S) {
+  support::putU64(Out, S.RacesDeclared);
+  support::putU64(Out, S.DroppedDeclarations);
+  Out.push_back(S.Capped ? 1 : 0);
+  support::putU64(Out, S.Entries.size());
+  for (const TriageEntry &E : S.Entries) {
+    support::putU64(Out, E.Signature);
+    support::putU64(Out, E.Hits);
+    appendExemplar(Out, E.Exemplar);
+  }
+}
+
+bool sampletrack::triage::readSummaryBody(support::ByteReader &Rd,
+                                          TriageSummary &Out,
+                                          std::string *Error) {
+  using support::fail;
+  TriageSummary S;
+  uint8_t Capped = 0;
+  if (!Rd.getU64(S.RacesDeclared) || !Rd.getU64(S.DroppedDeclarations) ||
+      !Rd.getByte(Capped))
+    return fail(Error, "truncated summary counts");
+  uint64_t Count = 0;
+  if (!Rd.getCount(Count, SummaryEntryBytes))
+    return fail(Error, "truncated summary (entry count exceeds the bytes "
+                       "left)");
+  if (Capped > 1)
+    return fail(Error, "corrupt summary (bad capped flag)");
+  S.Capped = Capped != 0;
+  std::unordered_set<uint64_t> Seen;
+  S.Entries.reserve(Count);
+  uint64_t HitTotal = 0;
+  for (uint64_t I = 0; I < Count; ++I) {
+    TriageEntry E;
+    if (!Rd.getU64(E.Signature) || !Rd.getU64(E.Hits) ||
+        !readExemplar(Rd, E.Exemplar))
+      return fail(Error, "truncated summary entry");
+    if (E.Exemplar.Kind > OpKind::AcquireLoad)
+      return fail(Error, "corrupt summary entry (bad op kind)");
+    if (E.Hits == 0)
+      return fail(Error, "corrupt summary entry (zero hit count)");
+    if (!Seen.insert(E.Signature).second)
+      return fail(Error, "corrupt summary (duplicate signature)");
+    HitTotal += E.Hits;
+    S.Entries.push_back(E);
+  }
+  if (!Rd.exhausted())
+    return fail(Error, "trailing garbage after the last summary entry");
+  // Declared counts every insert, stored or dropped; it can never be less
+  // than what the stored entries account for.
+  if (S.RacesDeclared < HitTotal + S.DroppedDeclarations)
+    return fail(Error, "corrupt summary (declaration counts inconsistent)");
+  if (S.Capped != (S.DroppedDeclarations != 0))
+    return fail(Error, "corrupt summary (capped flag inconsistent)");
+  Out = std::move(S);
+  return true;
 }

@@ -7,19 +7,19 @@
 
 #include "sampletrack/triage/TriageLog.h"
 
-#include "sampletrack/support/Common.h"
+#include "sampletrack/support/ByteCodec.h"
 #include "sampletrack/triage/RaceSignature.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 using namespace sampletrack;
+using namespace sampletrack::support;
 using namespace sampletrack::triage;
 
 //===----------------------------------------------------------------------===//
-// Journal framing ("STTJ"). Little-endian, FNV-1a checksummed, same byte
-// discipline as the store and wire formats; kept local — each format owns
-// its framing.
+// Journal framing ("STTJ"), in the warehouse's one byte codec
+// (support/ByteCodec.h). The payload's tail is the summary body
+// (triage::appendSummaryBody) an STSG upload carries, byte for byte.
 //
 //   header := "STTJ" u32(version=1) u64 fnv1a(tail)
 //             tail := u32 sigVersion  u64 baseRuns
@@ -45,88 +45,6 @@ constexpr size_t JournalHeaderSize = 28;
 constexpr size_t RecordPreambleSize = 12; // u32 len + u64 checksum
 constexpr size_t MaxRunIdBytes = 256;
 
-void putU16(std::string &S, uint16_t V) {
-  S.push_back(static_cast<char>(V & 0xff));
-  S.push_back(static_cast<char>((V >> 8) & 0xff));
-}
-
-void putU32(std::string &S, uint32_t V) {
-  for (int I = 0; I < 4; ++I)
-    S.push_back(static_cast<char>((V >> (8 * I)) & 0xff));
-}
-
-void putU64(std::string &S, uint64_t V) {
-  for (int I = 0; I < 8; ++I)
-    S.push_back(static_cast<char>((V >> (8 * I)) & 0xff));
-}
-
-uint64_t fnv1a(std::string_view Bytes) {
-  Fnv1a H;
-  H.bytes(Bytes.data(), Bytes.size());
-  return H.value();
-}
-
-/// Bounds-checked little-endian reader over a byte view.
-struct ViewReader {
-  std::string_view Bytes;
-  size_t Pos = 0;
-
-  bool getU16(uint16_t &V) {
-    if (Bytes.size() - Pos < 2)
-      return false;
-    V = static_cast<uint16_t>(
-        static_cast<unsigned char>(Bytes[Pos]) |
-        (static_cast<unsigned char>(Bytes[Pos + 1]) << 8));
-    Pos += 2;
-    return true;
-  }
-
-  bool getU32(uint32_t &V) {
-    if (Bytes.size() - Pos < 4)
-      return false;
-    V = 0;
-    for (int I = 0; I < 4; ++I)
-      V |= static_cast<uint32_t>(static_cast<unsigned char>(Bytes[Pos + I]))
-           << (8 * I);
-    Pos += 4;
-    return true;
-  }
-
-  bool getU64(uint64_t &V) {
-    if (Bytes.size() - Pos < 8)
-      return false;
-    V = 0;
-    for (int I = 0; I < 8; ++I)
-      V |= static_cast<uint64_t>(static_cast<unsigned char>(Bytes[Pos + I]))
-           << (8 * I);
-    Pos += 8;
-    return true;
-  }
-
-  bool getByte(uint8_t &V) {
-    if (Pos >= Bytes.size())
-      return false;
-    V = static_cast<unsigned char>(Bytes[Pos++]);
-    return true;
-  }
-
-  bool getBytes(std::string &Out, size_t Len) {
-    if (Bytes.size() - Pos < Len)
-      return false;
-    Out.assign(Bytes.data() + Pos, Len);
-    Pos += Len;
-    return true;
-  }
-
-  bool exhausted() const { return Pos == Bytes.size(); }
-};
-
-bool fail(std::string *Error, const std::string &Msg) {
-  if (Error)
-    *Error = Msg;
-  return false;
-}
-
 std::string journalHeader(uint64_t BaseRuns) {
   std::string Tail;
   putU32(Tail, RaceSignature::Version);
@@ -143,23 +61,12 @@ std::string journalHeader(uint64_t BaseRuns) {
 std::string encodeRecord(uint32_t RunIndex, uint8_t Content,
                          const std::string &RunId, const TriageSummary &S) {
   std::string Payload;
-  Payload.reserve(32 + RunId.size() + S.Entries.size() * 37);
+  Payload.reserve(32 + RunId.size() + S.Entries.size() * SummaryEntryBytes);
   putU32(Payload, RunIndex);
   Payload.push_back(static_cast<char>(Content));
   putU16(Payload, static_cast<uint16_t>(RunId.size()));
   Payload += RunId;
-  putU64(Payload, S.RacesDeclared);
-  putU64(Payload, S.DroppedDeclarations);
-  Payload.push_back(S.Capped ? 1 : 0);
-  putU64(Payload, S.Entries.size());
-  for (const TriageEntry &E : S.Entries) {
-    putU64(Payload, E.Signature);
-    putU64(Payload, E.Hits);
-    putU64(Payload, E.Exemplar.EventIndex);
-    putU32(Payload, E.Exemplar.Tid);
-    putU64(Payload, E.Exemplar.Var);
-    Payload.push_back(static_cast<char>(E.Exemplar.Kind));
-  }
+  appendSummaryBody(Payload, S);
   std::string Out;
   Out.reserve(RecordPreambleSize + Payload.size());
   putU32(Out, static_cast<uint32_t>(Payload.size()));
@@ -169,13 +76,13 @@ std::string encodeRecord(uint32_t RunIndex, uint8_t Content,
 }
 
 /// Parses one verified record payload back into (RunInfo-sans-Merge,
-/// TriageSummary), enforcing the same structural invariants decodeSummary
-/// does — the journal stores exactly what was merged, so corruption must
-/// not deserialize into a mergeable summary.
+/// TriageSummary). The summary body gets readSummaryBody's checks, the
+/// same an upload gets: the journal stores exactly what was merged, so
+/// corruption must not deserialize into a mergeable summary.
 bool decodeRecordPayload(std::string_view Payload, uint32_t ExpectedRun,
                          TriageLog::RunInfo &Info, TriageSummary &S,
                          std::string *Error) {
-  ViewReader Rd{Payload};
+  ByteReader Rd(Payload);
   uint32_t RunIndex = 0;
   uint8_t Content = 0;
   uint16_t RunIdLen = 0;
@@ -191,42 +98,8 @@ bool decodeRecordPayload(std::string_view Payload, uint32_t ExpectedRun,
   std::string RunId;
   if (!Rd.getBytes(RunId, RunIdLen))
     return fail(Error, "truncated run id");
-  uint8_t Capped = 0;
-  uint64_t Count = 0;
-  if (!Rd.getU64(S.RacesDeclared) || !Rd.getU64(S.DroppedDeclarations) ||
-      !Rd.getByte(Capped) || !Rd.getU64(Count))
-    return fail(Error, "truncated record counts");
-  if (Capped > 1)
-    return fail(Error, "bad capped flag");
-  S.Capped = Capped != 0;
-  std::unordered_set<uint64_t> Seen;
-  S.Entries.reserve(Count < (1u << 20) ? Count : (1u << 20));
-  uint64_t HitTotal = 0;
-  for (uint64_t I = 0; I < Count; ++I) {
-    TriageEntry E;
-    uint32_t Tid = 0;
-    uint8_t Kind = 0;
-    if (!Rd.getU64(E.Signature) || !Rd.getU64(E.Hits) ||
-        !Rd.getU64(E.Exemplar.EventIndex) || !Rd.getU32(Tid) ||
-        !Rd.getU64(E.Exemplar.Var) || !Rd.getByte(Kind))
-      return fail(Error, "truncated record entry");
-    if (Kind > static_cast<uint8_t>(OpKind::AcquireLoad))
-      return fail(Error, "bad op kind in record entry");
-    if (E.Hits == 0)
-      return fail(Error, "zero hit count in record entry");
-    if (!Seen.insert(E.Signature).second)
-      return fail(Error, "duplicate signature in record");
-    E.Exemplar.Tid = Tid;
-    E.Exemplar.Kind = static_cast<OpKind>(Kind);
-    HitTotal += E.Hits;
-    S.Entries.push_back(E);
-  }
-  if (!Rd.exhausted())
-    return fail(Error, "trailing garbage after the last record entry");
-  if (S.RacesDeclared < HitTotal + S.DroppedDeclarations)
-    return fail(Error, "declaration counts inconsistent");
-  if (S.Capped != (S.DroppedDeclarations != 0))
-    return fail(Error, "capped flag inconsistent");
+  if (!readSummaryBody(Rd, S, Error))
+    return false;
   Info.Run = RunIndex;
   Info.RunId = std::move(RunId);
   Info.Content = Content;
@@ -422,22 +295,16 @@ bool TriageLog::openDirectory(const Options &, std::string *Error) {
   // anything less is corruption, not a tear.
   if (Bytes.size() < JournalHeaderSize)
     return fail(Error, "'" + journalPath(Gen) + "': truncated journal header");
-  ViewReader Hd{Bytes};
-  uint32_t Ver = 0;
-  uint64_t Sum = 0, BaseRuns = 0, SigVer32 = 0;
-  {
-    for (int I = 0; I < 4; ++I)
-      if (Bytes[I] != JournalMagic[I])
-        return fail(Error, "'" + journalPath(Gen) +
-                               "': not a triage journal (bad magic)");
-    Hd.Pos = 4;
-    uint32_t SigVer = 0;
-    if (!Hd.getU32(Ver) || !Hd.getU64(Sum) || !Hd.getU32(SigVer) ||
-        !Hd.getU64(BaseRuns))
-      return fail(Error, "'" + journalPath(Gen) + "': truncated journal "
-                                                  "header");
-    SigVer32 = SigVer;
-  }
+  ByteReader Hd(Bytes);
+  uint32_t Ver = 0, SigVer = 0;
+  uint64_t Sum = 0, BaseRuns = 0;
+  if (!Hd.getMagic(JournalMagic))
+    return fail(Error, "'" + journalPath(Gen) +
+                           "': not a triage journal (bad magic)");
+  if (!Hd.getU32(Ver) || !Hd.getU64(Sum) || !Hd.getU32(SigVer) ||
+      !Hd.getU64(BaseRuns))
+    return fail(Error, "'" + journalPath(Gen) + "': truncated journal "
+                                                "header");
   if (Ver != JournalVersion)
     return fail(Error, "'" + journalPath(Gen) +
                            "': unsupported journal version " +
@@ -446,10 +313,10 @@ bool TriageLog::openDirectory(const Options &, std::string *Error) {
   if (fnv1a(std::string_view(Bytes).substr(16, 12)) != Sum)
     return fail(Error, "'" + journalPath(Gen) + "': journal header checksum "
                                                 "mismatch");
-  if (SigVer32 != RaceSignature::Version)
+  if (SigVer != RaceSignature::Version)
     return fail(Error, "'" + journalPath(Gen) +
                            "': race-signature version mismatch (journal has "
-                           "v" + std::to_string(SigVer32) +
+                           "v" + std::to_string(SigVer) +
                            ", this build speaks v" +
                            std::to_string(RaceSignature::Version) + ")");
   if (BaseRuns != BaseRunsAtOpen)
@@ -461,17 +328,10 @@ bool TriageLog::openDirectory(const Options &, std::string *Error) {
 
   size_t Pos = JournalHeaderSize;
   while (Pos < Bytes.size()) {
-    const size_t Remaining = Bytes.size() - Pos;
-    bool Torn = Remaining < RecordPreambleSize;
+    ByteReader Rd(std::string_view(Bytes).substr(Pos));
     uint32_t Len = 0;
     uint64_t RecSum = 0;
-    if (!Torn) {
-      ViewReader Rd{std::string_view(Bytes).substr(Pos)};
-      (void)Rd.getU32(Len);
-      (void)Rd.getU64(RecSum);
-      Torn = Len > Remaining - RecordPreambleSize;
-    }
-    if (Torn) {
+    if (!Rd.getU32(Len) || !Rd.getU64(RecSum) || Rd.remaining() < Len) {
       // A record with fewer bytes on disk than its preamble promises can
       // only be the final, interrupted append (fsync-before-ack means
       // everything earlier is complete). Cut it off and continue; the run
@@ -484,8 +344,7 @@ bool TriageLog::openDirectory(const Options &, std::string *Error) {
       Bytes.resize(Pos);
       break;
     }
-    std::string_view Payload =
-        std::string_view(Bytes).substr(Pos + RecordPreambleSize, Len);
+    std::string_view Payload = Rd.rest().substr(0, Len);
     if (fnv1a(Payload) != RecSum)
       return fail(Error, "'" + journalPath(Gen) + "': journal record at "
                                                   "offset " +

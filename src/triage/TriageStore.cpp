@@ -7,13 +7,15 @@
 
 #include "sampletrack/triage/TriageStore.h"
 
+#include "sampletrack/support/ByteCodec.h"
+
 #include <unistd.h>
 
 #include <algorithm>
-#include <cstring>
 #include <fstream>
 
 using namespace sampletrack;
+using namespace sampletrack::support;
 using namespace sampletrack::triage;
 
 const char *sampletrack::triage::raceStatusName(RaceStatus S) {
@@ -89,11 +91,8 @@ bool TriageStore::isSuppressed(uint64_t Sig) const {
 bool TriageStore::loadSuppressionFile(const std::string &Path,
                                       std::string *Error) {
   std::ifstream Is(Path);
-  if (!Is) {
-    if (Error)
-      *Error = "cannot open suppression file '" + Path + "'";
-    return false;
-  }
+  if (!Is)
+    return fail(Error, "cannot open suppression file '" + Path + "'");
   std::string Line;
   size_t LineNo = 0;
   while (std::getline(Is, Line)) {
@@ -108,12 +107,9 @@ bool TriageStore::loadSuppressionFile(const std::string &Path,
     size_t E = Line.find_last_not_of(" \t\r");
     std::string Token = Line.substr(B, E - B + 1);
     std::optional<RaceSignature> Sig = RaceSignature::parseHex(Token);
-    if (!Sig) {
-      if (Error)
-        *Error = Path + ":" + std::to_string(LineNo) +
-                 ": not a hex race signature: '" + Token + "'";
-      return false;
-    }
+    if (!Sig)
+      return fail(Error, Path + ":" + std::to_string(LineNo) +
+                             ": not a hex race signature: '" + Token + "'");
     suppress(Sig->Value);
   }
   return true;
@@ -158,75 +154,25 @@ TriageStore::ranked(size_t TopN) const {
 //
 // All file I/O goes through support::FileSystem so the crash tests can
 // fail any operation; this same byte image doubles as the TriageLog base
-// segment.
+// segment. The bytes go through the warehouse's one codec
+// (support/ByteCodec.h), and the record count is bounded by the bytes left
+// before anything is reserved for it.
 //===----------------------------------------------------------------------===//
 
 namespace {
 
 constexpr char Magic[4] = {'S', 'T', 'T', 'S'};
 constexpr uint32_t FormatVersion = 2;
-
-uint64_t fnv1a(const std::string &Bytes) {
-  Fnv1a H;
-  H.bytes(Bytes.data(), Bytes.size());
-  return H.value();
-}
-
-void putU32(std::string &S, uint32_t V) {
-  for (int I = 0; I < 4; ++I)
-    S.push_back(static_cast<char>((V >> (8 * I)) & 0xff));
-}
-
-void putU64(std::string &S, uint64_t V) {
-  for (int I = 0; I < 8; ++I)
-    S.push_back(static_cast<char>((V >> (8 * I)) & 0xff));
-}
-
-/// Bounds-checked little-endian reader over the in-memory payload.
-struct PayloadReader {
-  const std::string &Bytes;
-  size_t Pos = 0;
-
-  bool getU32(uint32_t &V) {
-    if (Bytes.size() - Pos < 4)
-      return false;
-    V = 0;
-    for (int I = 0; I < 4; ++I)
-      V |= static_cast<uint32_t>(
-               static_cast<unsigned char>(Bytes[Pos + I]))
-           << (8 * I);
-    Pos += 4;
-    return true;
-  }
-
-  bool getU64(uint64_t &V) {
-    if (Bytes.size() - Pos < 8)
-      return false;
-    V = 0;
-    for (int I = 0; I < 8; ++I)
-      V |= static_cast<uint64_t>(
-               static_cast<unsigned char>(Bytes[Pos + I]))
-           << (8 * I);
-    Pos += 8;
-    return true;
-  }
-
-  bool getByte(uint8_t &V) {
-    if (Pos >= Bytes.size())
-      return false;
-    V = static_cast<unsigned char>(Bytes[Pos++]);
-    return true;
-  }
-
-  bool exhausted() const { return Pos == Bytes.size(); }
-};
+/// One record: u64 sig  u64 hits  u32 runs  u32 first  u32 last
+/// u8 suppressed  u8 status  exemplar.
+constexpr size_t RecordBytes = 30 + ExemplarBytes;
 
 } // namespace
 
 std::string TriageStore::serialize() const {
   // The payload first so the header can carry its checksum.
   std::string Payload;
-  Payload.reserve(16 + Records.size() * 46);
+  Payload.reserve(16 + Records.size() * RecordBytes);
   putU32(Payload, RaceSignature::Version);
   putU32(Payload, RunCounter);
   putU64(Payload, Records.size());
@@ -238,10 +184,7 @@ std::string TriageStore::serialize() const {
     putU32(Payload, R.LastSeenRun);
     Payload.push_back(R.Suppressed ? 1 : 0);
     Payload.push_back(static_cast<char>(R.LastStatus));
-    putU64(Payload, R.Exemplar.EventIndex);
-    putU32(Payload, R.Exemplar.Tid);
-    putU64(Payload, R.Exemplar.Var);
-    Payload.push_back(static_cast<char>(R.Exemplar.Kind));
+    appendExemplar(Payload, R.Exemplar);
   }
 
   std::string Out;
@@ -268,17 +211,12 @@ bool TriageStore::save(support::FileSystem &Fs, const std::string &Path,
       Path + ".tmp." + std::to_string(static_cast<unsigned>(::getpid()));
   auto FailTmp = [&](const std::string &Msg) {
     Fs.remove(TmpPath);
-    if (Error)
-      *Error = Msg;
-    return false;
+    return fail(Error, Msg);
   };
   std::unique_ptr<support::WritableFile> Os =
       Fs.openWrite(TmpPath, /*Append=*/false);
-  if (!Os) {
-    if (Error)
-      *Error = "cannot write '" + TmpPath + "'";
-    return false;
-  }
+  if (!Os)
+    return fail(Error, "cannot write '" + TmpPath + "'");
   if (!support::writeAll(*Os, Image))
     return FailTmp("I/O error writing '" + TmpPath + "'");
   if (!Os->sync())
@@ -300,77 +238,71 @@ bool TriageStore::save(const std::string &Path, std::string *Error) const {
 }
 
 bool TriageStore::deserialize(const std::string &Image, std::string *Error) {
-  auto Fail = [&](const std::string &Msg) {
-    if (Error)
-      *Error = Msg;
-    return false;
-  };
-  if (Image.size() < 16 || std::memcmp(Image.data(), Magic, 4) != 0)
-    return Fail("not a triage store (bad magic)");
-  PayloadReader Hd{Image, 4};
+  ByteReader Rd(Image);
+  if (!Rd.getMagic(Magic))
+    return fail(Error, "not a triage store (bad magic)");
   uint32_t Fmt = 0;
   uint64_t Sum = 0;
-  if (!Hd.getU32(Fmt) || !Hd.getU64(Sum))
-    return Fail("truncated header");
+  if (!Rd.getU32(Fmt) || !Rd.getU64(Sum))
+    return fail(Error, "truncated header");
   if (Fmt != FormatVersion)
-    return Fail("unsupported store format version " + std::to_string(Fmt) +
-                " (this build reads version " +
-                std::to_string(FormatVersion) + "); regenerate the store");
+    return fail(Error, "unsupported store format version " +
+                           std::to_string(Fmt) + " (this build reads version " +
+                           std::to_string(FormatVersion) +
+                           "); regenerate the store");
 
   // Verify the payload checksum before believing one byte of it: a chopped
   // file or a flipped bit anywhere past the header fails here instead of
   // parsing into garbage.
-  std::string Bytes = Image.substr(16);
-  if (fnv1a(Bytes) != Sum)
-    return Fail("payload checksum mismatch (truncated or corrupted store)");
+  if (fnv1a(Rd.rest()) != Sum)
+    return fail(Error,
+                "payload checksum mismatch (truncated or corrupted store)");
 
-  PayloadReader Rd{Bytes};
   uint32_t SigVer = 0, Runs = 0;
   uint64_t Count = 0;
-  if (!Rd.getU32(SigVer) || !Rd.getU32(Runs) || !Rd.getU64(Count))
-    return Fail("truncated header");
+  if (!Rd.getU32(SigVer) || !Rd.getU32(Runs))
+    return fail(Error, "truncated header");
   if (SigVer != RaceSignature::Version)
-    return Fail("race-signature version mismatch; regenerate the store");
+    return fail(Error, "race-signature version mismatch; regenerate the store");
+  if (!Rd.getCount(Count, RecordBytes))
+    return fail(Error, "truncated store (record count exceeds the bytes "
+                       "left)");
   std::vector<Record> Loaded;
   std::unordered_map<uint64_t, size_t> NewIndex;
-  Loaded.reserve(Count < (1u << 20) ? Count : (1u << 20));
+  Loaded.reserve(Count);
   for (uint64_t I = 0; I < Count; ++I) {
     Record R;
-    uint32_t Tid = 0;
-    uint8_t Flag = 0, Status = 0, Kind = 0;
+    uint8_t Flag = 0, Status = 0;
     if (!Rd.getU64(R.Signature) || !Rd.getU64(R.Hits) ||
         !Rd.getU32(R.Runs) || !Rd.getU32(R.FirstSeenRun) ||
         !Rd.getU32(R.LastSeenRun) || !Rd.getByte(Flag) ||
-        !Rd.getByte(Status) || !Rd.getU64(R.Exemplar.EventIndex) ||
-        !Rd.getU32(Tid) || !Rd.getU64(R.Exemplar.Var) || !Rd.getByte(Kind))
-      return Fail("truncated record");
-    if (Kind > static_cast<uint8_t>(OpKind::AcquireLoad))
-      return Fail("corrupt record (bad op kind)");
+        !Rd.getByte(Status) || !readExemplar(Rd, R.Exemplar))
+      return fail(Error, "truncated record");
+    if (R.Exemplar.Kind > OpKind::AcquireLoad)
+      return fail(Error, "corrupt record (bad op kind)");
     if (Status > static_cast<uint8_t>(RaceStatus::Suppressed))
-      return Fail("corrupt record (bad status)");
+      return fail(Error, "corrupt record (bad status)");
     R.Suppressed = Flag != 0;
     R.LastStatus = static_cast<RaceStatus>(Status);
-    R.Exemplar.Tid = Tid;
-    R.Exemplar.Kind = static_cast<OpKind>(Kind);
     // Structural invariants every mergeRun-produced record satisfies.
     if (R.Runs == 0) {
       // Only a pre-suppression placeholder has no sighting history.
       if (!R.Suppressed || R.Hits != 0 || R.FirstSeenRun != 0 ||
           R.LastSeenRun != 0)
-        return Fail("corrupt record (history on an unseen signature)");
+        return fail(Error, "corrupt record (history on an unseen signature)");
     } else {
       if (R.FirstSeenRun == 0 || R.FirstSeenRun > R.LastSeenRun ||
           R.LastSeenRun > Runs)
-        return Fail("corrupt record (sighting runs out of range)");
+        return fail(Error, "corrupt record (sighting runs out of range)");
       if (R.Runs > R.LastSeenRun - R.FirstSeenRun + 1 || R.Hits < R.Runs)
-        return Fail("corrupt record (inconsistent sighting counts)");
+        return fail(Error, "corrupt record (inconsistent sighting counts)");
     }
     if (!NewIndex.emplace(R.Signature, Loaded.size()).second)
-      return Fail("corrupt store (duplicate signature)");
+      return fail(Error, "corrupt store (duplicate signature)");
     Loaded.push_back(R);
   }
   if (!Rd.exhausted())
-    return Fail("trailing garbage after the last record");
+    return fail(Error, "trailing garbage after the last record");
   RunCounter = Runs;
   Records = std::move(Loaded);
   Index = std::move(NewIndex);
@@ -381,16 +313,10 @@ bool TriageStore::load(support::FileSystem &Fs, const std::string &Path,
                        std::string *Error) {
   std::string Image;
   std::string Err;
-  if (!Fs.readFile(Path, Image, &Err)) {
-    if (Error)
-      *Error = Err;
+  if (!Fs.readFile(Path, Image, Error))
     return false;
-  }
-  if (!deserialize(Image, &Err)) {
-    if (Error)
-      *Error = "'" + Path + "': " + Err;
-    return false;
-  }
+  if (!deserialize(Image, &Err))
+    return fail(Error, "'" + Path + "': " + Err);
   return true;
 }
 

@@ -7,6 +7,7 @@
 
 #include "sampletrack/triaged/Client.h"
 
+#include "sampletrack/support/ByteCodec.h"
 #include "sampletrack/support/Rng.h"
 #include "sampletrack/trace/TraceIO.h"
 
@@ -30,14 +31,9 @@
 
 using namespace sampletrack;
 using namespace sampletrack::triaged;
+using support::fail;
 
 namespace {
-
-bool fail(std::string *Error, const std::string &Msg) {
-  if (Error)
-    *Error = Msg;
-  return false;
-}
 
 using Clock = std::chrono::steady_clock;
 

@@ -7,14 +7,10 @@
 
 #include "sampletrack/triaged/Wire.h"
 
-#include "sampletrack/support/Common.h"
-
-#include <cstdio>
-#include <fstream>
-#include <iterator>
-#include <unordered_set>
+#include "sampletrack/support/ByteCodec.h"
 
 using namespace sampletrack;
+using namespace sampletrack::support;
 using namespace sampletrack::triaged;
 
 const char *sampletrack::triaged::wireContentName(WireContent C) {
@@ -28,8 +24,8 @@ const char *sampletrack::triaged::wireContentName(WireContent C) {
 }
 
 //===----------------------------------------------------------------------===//
-// Little-endian string builders/readers (the same byte discipline as the
-// TriageStore format; kept local — each format owns its framing).
+// Both formats use the warehouse's one byte codec (support/ByteCodec.h);
+// the summary payload's body is triage::appendSummaryBody's.
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -39,75 +35,6 @@ constexpr uint32_t SummaryFormatVersion = 1;
 constexpr char FrameMagic[4] = {'S', 'T', 'W', 'F'};
 constexpr uint32_t FrameVersion = 1;
 
-void putU32(std::string &S, uint32_t V) {
-  for (int I = 0; I < 4; ++I)
-    S.push_back(static_cast<char>((V >> (8 * I)) & 0xff));
-}
-
-void putU64(std::string &S, uint64_t V) {
-  for (int I = 0; I < 8; ++I)
-    S.push_back(static_cast<char>((V >> (8 * I)) & 0xff));
-}
-
-uint64_t fnv1a(std::string_view Bytes) {
-  Fnv1a H;
-  H.bytes(Bytes.data(), Bytes.size());
-  return H.value();
-}
-
-/// Bounds-checked little-endian reader over a byte view.
-struct ViewReader {
-  std::string_view Bytes;
-  size_t Pos = 0;
-
-  bool getU32(uint32_t &V) {
-    if (Bytes.size() - Pos < 4)
-      return false;
-    V = 0;
-    for (int I = 0; I < 4; ++I)
-      V |= static_cast<uint32_t>(static_cast<unsigned char>(Bytes[Pos + I]))
-           << (8 * I);
-    Pos += 4;
-    return true;
-  }
-
-  bool getU64(uint64_t &V) {
-    if (Bytes.size() - Pos < 8)
-      return false;
-    V = 0;
-    for (int I = 0; I < 8; ++I)
-      V |= static_cast<uint64_t>(static_cast<unsigned char>(Bytes[Pos + I]))
-           << (8 * I);
-    Pos += 8;
-    return true;
-  }
-
-  bool getByte(uint8_t &V) {
-    if (Pos >= Bytes.size())
-      return false;
-    V = static_cast<unsigned char>(Bytes[Pos++]);
-    return true;
-  }
-
-  bool getMagic(const char (&M)[4]) {
-    if (Bytes.size() - Pos < 4)
-      return false;
-    for (int I = 0; I < 4; ++I)
-      if (Bytes[Pos + I] != M[I])
-        return false;
-    Pos += 4;
-    return true;
-  }
-
-  bool exhausted() const { return Pos == Bytes.size(); }
-};
-
-bool fail(std::string *Error, const std::string &Msg) {
-  if (Error)
-    *Error = Msg;
-  return false;
-}
-
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -116,20 +43,9 @@ bool fail(std::string *Error, const std::string &Msg) {
 
 std::string sampletrack::triaged::encodeSummary(const triage::TriageSummary &S) {
   std::string Payload;
-  Payload.reserve(29 + S.Entries.size() * 37);
+  Payload.reserve(29 + S.Entries.size() * triage::SummaryEntryBytes);
   putU32(Payload, triage::RaceSignature::Version);
-  putU64(Payload, S.RacesDeclared);
-  putU64(Payload, S.DroppedDeclarations);
-  Payload.push_back(S.Capped ? 1 : 0);
-  putU64(Payload, S.Entries.size());
-  for (const triage::TriageEntry &E : S.Entries) {
-    putU64(Payload, E.Signature);
-    putU64(Payload, E.Hits);
-    putU64(Payload, E.Exemplar.EventIndex);
-    putU32(Payload, E.Exemplar.Tid);
-    putU64(Payload, E.Exemplar.Var);
-    Payload.push_back(static_cast<char>(E.Exemplar.Kind));
-  }
+  triage::appendSummaryBody(Payload, S);
 
   std::string Out;
   Out.reserve(16 + Payload.size());
@@ -143,7 +59,7 @@ std::string sampletrack::triaged::encodeSummary(const triage::TriageSummary &S) 
 bool sampletrack::triaged::decodeSummary(std::string_view Bytes,
                                          triage::TriageSummary &Out,
                                          std::string *Error) {
-  ViewReader Rd{Bytes};
+  ByteReader Rd(Bytes);
   if (!Rd.getMagic(SummaryMagic))
     return fail(Error, "not a signature summary (bad magic)");
   uint32_t Fmt = 0;
@@ -154,60 +70,19 @@ bool sampletrack::triaged::decodeSummary(std::string_view Bytes,
     return fail(Error, "unsupported summary format version " +
                            std::to_string(Fmt) + " (this build reads " +
                            std::to_string(SummaryFormatVersion) + ")");
-  std::string_view Payload = Bytes.substr(Rd.Pos);
-  if (fnv1a(Payload) != Sum)
+  if (fnv1a(Rd.rest()) != Sum)
     return fail(Error,
                 "summary checksum mismatch (truncated or corrupted upload)");
 
-  ViewReader Pd{Payload};
-  triage::TriageSummary S;
   uint32_t SigVer = 0;
-  uint64_t Count = 0;
-  uint8_t Capped = 0;
-  if (!Pd.getU32(SigVer) || !Pd.getU64(S.RacesDeclared) ||
-      !Pd.getU64(S.DroppedDeclarations) || !Pd.getByte(Capped) ||
-      !Pd.getU64(Count))
+  if (!Rd.getU32(SigVer))
     return fail(Error, "truncated summary payload");
   if (SigVer != triage::RaceSignature::Version)
     return fail(Error, "race-signature version mismatch (summary has v" +
                            std::to_string(SigVer) + ", this build speaks v" +
                            std::to_string(triage::RaceSignature::Version) +
                            ")");
-  if (Capped > 1)
-    return fail(Error, "corrupt summary (bad capped flag)");
-  S.Capped = Capped != 0;
-  std::unordered_set<uint64_t> Seen;
-  S.Entries.reserve(Count < (1u << 20) ? Count : (1u << 20));
-  uint64_t HitTotal = 0;
-  for (uint64_t I = 0; I < Count; ++I) {
-    triage::TriageEntry E;
-    uint32_t Tid = 0;
-    uint8_t Kind = 0;
-    if (!Pd.getU64(E.Signature) || !Pd.getU64(E.Hits) ||
-        !Pd.getU64(E.Exemplar.EventIndex) || !Pd.getU32(Tid) ||
-        !Pd.getU64(E.Exemplar.Var) || !Pd.getByte(Kind))
-      return fail(Error, "truncated summary entry");
-    if (Kind > static_cast<uint8_t>(OpKind::AcquireLoad))
-      return fail(Error, "corrupt summary entry (bad op kind)");
-    if (E.Hits == 0)
-      return fail(Error, "corrupt summary entry (zero hit count)");
-    if (!Seen.insert(E.Signature).second)
-      return fail(Error, "corrupt summary (duplicate signature)");
-    E.Exemplar.Tid = Tid;
-    E.Exemplar.Kind = static_cast<OpKind>(Kind);
-    HitTotal += E.Hits;
-    S.Entries.push_back(E);
-  }
-  if (!Pd.exhausted())
-    return fail(Error, "trailing garbage after the last summary entry");
-  // Declared counts every insert, stored or dropped; it can never be less
-  // than what the stored entries account for.
-  if (S.RacesDeclared < HitTotal + S.DroppedDeclarations)
-    return fail(Error, "corrupt summary (declaration counts inconsistent)");
-  if (S.Capped != (S.DroppedDeclarations != 0))
-    return fail(Error, "corrupt summary (capped flag inconsistent)");
-  Out = std::move(S);
-  return true;
+  return triage::readSummaryBody(Rd, Out, Error);
 }
 
 bool sampletrack::triaged::writeSummaryFile(support::FileSystem &Fs,
@@ -255,8 +130,7 @@ bool sampletrack::triaged::readSummaryFile(const std::string &Path,
 }
 
 bool sampletrack::triaged::sniffSummary(std::string_view Bytes) {
-  return Bytes.size() >= 4 && Bytes[0] == 'S' && Bytes[1] == 'T' &&
-         Bytes[2] == 'S' && Bytes[3] == 'G';
+  return ByteReader(Bytes).getMagic(SummaryMagic);
 }
 
 //===----------------------------------------------------------------------===//
@@ -278,7 +152,7 @@ std::string sampletrack::triaged::frame(WireContent C,
 
 bool sampletrack::triaged::parseFrame(std::string_view Bytes, WireFrame &Out,
                                       std::string *Error) {
-  ViewReader Rd{Bytes};
+  ByteReader Rd(Bytes);
   if (!Rd.getMagic(FrameMagic))
     return fail(Error, "not an upload frame (bad magic)");
   uint32_t Ver = 0;
@@ -294,7 +168,7 @@ bool sampletrack::triaged::parseFrame(std::string_view Bytes, WireFrame &Out,
   if (Content > static_cast<uint8_t>(WireContent::SignatureSummary))
     return fail(Error, "unknown frame content kind " +
                            std::to_string(Content));
-  std::string_view Payload = Bytes.substr(Rd.Pos);
+  std::string_view Payload = Rd.rest();
   if (Payload.size() < Len)
     return fail(Error, "truncated frame payload (header promises " +
                            std::to_string(Len) + " bytes, got " +

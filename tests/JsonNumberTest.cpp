@@ -16,6 +16,10 @@
 //    locale-independent (std::from_chars, with a classic-locale stream
 //    fallback for toolchains without floating-point from_chars).
 //
+// Next to them, support::jsonEscape (the one string escaper behind every
+// JSON writer in the repo) must round-trip quotes, backslashes and every
+// control character through this parser.
+//
 //===----------------------------------------------------------------------===//
 
 #include "sampletrack/support/Json.h"
@@ -137,4 +141,21 @@ TEST(JsonNumber, DocumentsStillRoundTrip) {
   ASSERT_EQ(Rows->Array.size(), 1u);
   EXPECT_EQ(Rows->Array[0].getNumber("ns", 0), 12693491.0);
   EXPECT_EQ(Rows->Array[0].getNumber("rate", 0), 0.003);
+}
+
+TEST(JsonEscape, EveryControlCharacterRoundTripsThroughTheParser) {
+  std::string Raw = "quote\" backslash\\ slash/ ";
+  for (int C = 0; C < 0x20; ++C)
+    Raw.push_back(static_cast<char>(C));
+  Raw += "\x7f end";
+  const std::string Escaped = support::jsonEscape(Raw);
+  for (char C : Escaped)
+    EXPECT_GE(static_cast<unsigned char>(C), 0x20u) << "raw control byte";
+  EXPECT_NE(Escaped.find("\\u0001"), std::string::npos) << Escaped;
+  EXPECT_NE(Escaped.find("\\n"), std::string::npos) << Escaped;
+  JsonValue V;
+  std::string Err;
+  ASSERT_TRUE(JsonValue::parse("\"" + Escaped + "\"", V, &Err)) << Err;
+  ASSERT_TRUE(V.isString());
+  EXPECT_EQ(V.Str, Raw);
 }

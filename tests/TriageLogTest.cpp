@@ -10,7 +10,10 @@
 // compaction (inline and three-phase, with concurrent appends carried
 // across the generation swap), and append-failure poisoning. The
 // crash-schedule sweeps (a fault at *every* operation index) live in
-// CrashRecoveryTest.
+// CrashRecoveryTest. The golden-bytes case pins every warehouse encoder
+// (STSG summary, STWF frame, STTS store image, STTJ journal) to fixed
+// byte strings, so an encoder and decoder changed in step cannot slip a
+// format change past the round-trip cases.
 //
 //===----------------------------------------------------------------------===//
 
@@ -18,6 +21,7 @@
 #include "sampletrack/triage/RaceSink.h"
 #include "sampletrack/triage/TriageLog.h"
 #include "sampletrack/triage/TriageStore.h"
+#include "sampletrack/triaged/Wire.h"
 
 #include <gtest/gtest.h>
 
@@ -460,4 +464,118 @@ TEST(TriageLog, MidLogCorruptionOfTheBaseSegmentFailsOpen) {
   EXPECT_FALSE(Back.open("store", opts(Fs), &Err))
       << "a corrupt base segment must fail open, not serve garbage";
   EXPECT_FALSE(Err.empty());
+}
+
+//===----------------------------------------------------------------------===//
+// Golden bytes
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+std::string toHex(std::string_view Bytes) {
+  static constexpr char Digits[] = "0123456789abcdef";
+  std::string Out;
+  for (char C : Bytes) {
+    Out += Digits[static_cast<unsigned char>(C) >> 4];
+    Out += Digits[static_cast<unsigned char>(C) & 0xf];
+  }
+  return Out;
+}
+
+std::string fromHex(std::string_view Hex) {
+  std::string Out;
+  for (size_t I = 0; I + 1 < Hex.size(); I += 2)
+    Out.push_back(static_cast<char>(
+        std::stoi(std::string(Hex.substr(I, 2)), nullptr, 16)));
+  return Out;
+}
+
+/// Two entries with distinct exemplar fields in every slot, and a capped
+/// run (dropped declarations) so the flag and both counters are nonzero.
+TriageSummary goldenSummary() {
+  TriageSummary S;
+  S.Entries.push_back(TriageEntry{0x1122334455667788ULL, 3,
+                                  RaceReport{5, 1, 42, OpKind::Write}});
+  S.Entries.push_back(TriageEntry{0x99aabbccddeeff00ULL, 1,
+                                  RaceReport{9, 2, 7, OpKind::Read}});
+  S.RacesDeclared = 6;
+  S.DroppedDeclarations = 2;
+  S.Capped = true;
+  return S;
+}
+
+// The four formats' bytes for goldenSummary(). A change here is a format
+// break and must bump that format's version.
+constexpr const char *GoldenSummaryHex =
+    "5354534701000000960912b124b13d0e01000000060000000000000002000000"
+    "0000000001020000000000000088776655443322110300000000000000050000"
+    "0000000000010000002a000000000000000100ffeeddccbbaa99010000000000"
+    "0000090000000000000002000000070000000000000000";
+constexpr const char *GoldenFrameHex =
+    "5354574601000000017700000000000000d6bcd3e27abe5cf253545347010000"
+    "00960912b124b13d0e0100000006000000000000000200000000000000010200"
+    "0000000000008877665544332211030000000000000005000000000000000100"
+    "00002a000000000000000100ffeeddccbbaa9901000000000000000900000000"
+    "00000002000000070000000000000000";
+constexpr const char *GoldenStoreHex =
+    "53545453020000003672645177eccbd101000000010000000200000000000000"
+    "8877665544332211030000000000000001000000010000000100000000000500"
+    "000000000000010000002a000000000000000100ffeeddccbbaa990100000000"
+    "0000000100000001000000010000000000090000000000000002000000070000"
+    "000000000000";
+constexpr const char *GoldenJournalHex =
+    "5354544a01000000e42b42c2392d245f0100000000000000000000006f000000"
+    "d95eae853eb220620100000001050072756e2d31060000000000000002000000"
+    "0000000001020000000000000088776655443322110300000000000000050000"
+    "0000000000010000002a000000000000000100ffeeddccbbaa99010000000000"
+    "0000090000000000000002000000070000000000000000";
+
+} // namespace
+
+TEST(WarehouseFormats, GoldenBytesPinEveryEncoder) {
+  const TriageSummary S = goldenSummary();
+
+  // STSG summary and the STWF frame around it.
+  const std::string Summary = triaged::encodeSummary(S);
+  EXPECT_EQ(toHex(Summary), GoldenSummaryHex);
+  EXPECT_EQ(toHex(triaged::frame(triaged::WireContent::SignatureSummary,
+                                 Summary)),
+            GoldenFrameHex);
+
+  // STTS store image after merging the summary as run 1.
+  TriageStore Store;
+  Store.mergeRun(S);
+  EXPECT_EQ(toHex(Store.serialize()), GoldenStoreHex);
+
+  // STTJ journal: the 28-byte header, then one record for run 1.
+  FaultInjectionFs Fs;
+  std::string Err;
+  {
+    TriageLog L;
+    ASSERT_TRUE(L.open("store", opts(Fs), &Err)) << Err;
+    TriageStore::MergeResult M;
+    ASSERT_TRUE(L.appendRun(S, "run-1", 1, M, &Err)) << Err;
+  }
+  std::string Journal;
+  ASSERT_TRUE(Fs.readFile("store/journal-1.log", Journal));
+  EXPECT_EQ(toHex(Journal), GoldenJournalHex);
+
+  // And every decoder reads the golden bytes back to the same content.
+  TriageSummary Back;
+  ASSERT_TRUE(triaged::decodeSummary(fromHex(GoldenSummaryHex), Back, &Err))
+      << Err;
+  EXPECT_TRUE(Back == S);
+  const std::string FrameBytes = fromHex(GoldenFrameHex);
+  triaged::WireFrame Frame;
+  ASSERT_TRUE(triaged::parseFrame(FrameBytes, Frame, &Err)) << Err;
+  EXPECT_EQ(Frame.Content, triaged::WireContent::SignatureSummary);
+  EXPECT_EQ(Frame.Payload, Summary);
+  TriageStore StoreBack;
+  ASSERT_TRUE(StoreBack.deserialize(fromHex(GoldenStoreHex), &Err)) << Err;
+  EXPECT_TRUE(StoreBack == Store);
+  TriageLog Reopened;
+  ASSERT_TRUE(Reopened.open("store", opts(Fs), &Err)) << Err;
+  EXPECT_TRUE(Reopened.store() == Store);
+  ASSERT_EQ(Reopened.journalRuns().size(), 1u);
+  EXPECT_EQ(Reopened.journalRuns()[0].RunId, "run-1");
 }

@@ -14,9 +14,12 @@
 #include "sampletrack/api/AnalysisSession.h"
 #include "sampletrack/api/Report.h"
 #include "sampletrack/runtime/Runtime.h"
+#include "sampletrack/support/FaultInjectionFs.h"
 #include "sampletrack/trace/TraceGen.h"
 #include "sampletrack/triage/Exporters.h"
+#include "sampletrack/triage/TriageLog.h"
 #include "sampletrack/triage/TriageStore.h"
+#include "sampletrack/triaged/Wire.h"
 
 #include <gtest/gtest.h>
 
@@ -31,20 +34,27 @@ using namespace sampletrack::triage;
 
 //===----------------------------------------------------------------------===//
 // Allocation counting: global new/delete replacements so the warm-sink
-// no-allocation contract is verifiable, not aspirational.
+// no-allocation contract and the decoders' bound-before-allocating rule
+// are verifiable, not aspirational.
 //===----------------------------------------------------------------------===//
 
 static std::atomic<uint64_t> GAllocCount{0};
+static std::atomic<uint64_t> GAllocBytes{0};
+
+static void countAlloc(std::size_t Size) {
+  GAllocCount.fetch_add(1, std::memory_order_relaxed);
+  GAllocBytes.fetch_add(Size, std::memory_order_relaxed);
+}
 
 void *operator new(std::size_t Size) {
-  GAllocCount.fetch_add(1, std::memory_order_relaxed);
+  countAlloc(Size);
   if (void *P = std::malloc(Size))
     return P;
   throw std::bad_alloc();
 }
 
 void *operator new[](std::size_t Size) {
-  GAllocCount.fetch_add(1, std::memory_order_relaxed);
+  countAlloc(Size);
   if (void *P = std::malloc(Size))
     return P;
   throw std::bad_alloc();
@@ -54,12 +64,12 @@ void *operator new[](std::size_t Size) {
 // std::stable_sort's temporary buffer) and frees through the deletes
 // above, so both ends must use malloc/free.
 void *operator new(std::size_t Size, const std::nothrow_t &) noexcept {
-  GAllocCount.fetch_add(1, std::memory_order_relaxed);
+  countAlloc(Size);
   return std::malloc(Size);
 }
 
 void *operator new[](std::size_t Size, const std::nothrow_t &) noexcept {
-  GAllocCount.fetch_add(1, std::memory_order_relaxed);
+  countAlloc(Size);
   return std::malloc(Size);
 }
 
@@ -494,6 +504,75 @@ TEST(TriageStore, LoadRejectsWrongVersionsAndCraftedCorruption) {
         << Err;
   }
   std::remove(Path.c_str());
+}
+
+TEST(WarehouseCodec, HostileEntryCountsAreRejectedBeforeAllocating) {
+  // Checksum-valid inputs whose entry count claims 2^40 entries in a few
+  // dozen bytes: each decoder must refuse the count against the bytes
+  // left before it reserves anything for it.
+  constexpr uint64_t Hostile = uint64_t(1) << 40;
+  constexpr uint64_t Budget = 64 << 10;
+  auto BytesAllocatedBy = [](auto &&Fn) {
+    uint64_t Before = GAllocBytes.load(std::memory_order_relaxed);
+    Fn();
+    return GAllocBytes.load(std::memory_order_relaxed) - Before;
+  };
+  std::string Err;
+
+  // STSG upload: 16-byte header, then sigver u32, declared u64, dropped
+  // u64, capped u8, count u64 (at payload offset 21).
+  std::string Summary = triaged::encodeSummary(TriageSummary{});
+  ASSERT_EQ(Summary.size(), 45u);
+  putLeU64(Summary, 16 + 21, Hostile);
+  Summary = refreshChecksum(Summary);
+  TriageSummary Decoded;
+  bool Ok = true;
+  uint64_t Bytes = BytesAllocatedBy(
+      [&] { Ok = triaged::decodeSummary(Summary, Decoded, &Err); });
+  EXPECT_FALSE(Ok);
+  EXPECT_LT(Bytes, Budget) << "STSG decode allocated " << Bytes << " bytes";
+  EXPECT_NE(Err.find("truncated"), std::string::npos) << Err;
+
+  // STTS store image: 16-byte header, then sigver u32, runs u32, count u64
+  // (at payload offset 8).
+  std::string Image = TriageStore().serialize();
+  ASSERT_EQ(Image.size(), 32u);
+  putLeU64(Image, 16 + 8, Hostile);
+  Image = refreshChecksum(Image);
+  TriageStore Store;
+  Bytes = BytesAllocatedBy([&] { Ok = Store.deserialize(Image, &Err); });
+  EXPECT_FALSE(Ok);
+  EXPECT_LT(Bytes, Budget) << "STTS decode allocated " << Bytes << " bytes";
+  EXPECT_NE(Err.find("truncated"), std::string::npos) << Err;
+
+  // STTJ record replayed at open: 28-byte journal header, the record's
+  // u32 len and u64 checksum, then run u32, content u8, runIdLen u16 (0)
+  // and the summary body, whose count sits at body offset 17.
+  support::FaultInjectionFs Fs;
+  TriageLog::Options Opts;
+  Opts.Fs = &Fs;
+  {
+    TriageLog L;
+    TriageStore::MergeResult M;
+    ASSERT_TRUE(L.open("store", Opts, &Err)) << Err;
+    ASSERT_TRUE(L.appendRun(TriageSummary{}, "", 0, M, &Err)) << Err;
+  }
+  const std::string Path = "store/journal-1.log";
+  std::string Journal;
+  ASSERT_TRUE(Fs.readFile(Path, Journal));
+  ASSERT_EQ(Journal.size(), 28u + 12u + 32u);
+  putLeU64(Journal, 28 + 12 + 7 + 17, Hostile);
+  putLeU64(Journal, 28 + 4, fnv1a(Journal.substr(28 + 12)));
+  {
+    auto F = Fs.openWrite(Path, /*Append=*/false);
+    ASSERT_NE(F, nullptr);
+    ASSERT_TRUE(support::writeAll(*F, Journal));
+  }
+  TriageLog Reopened;
+  Bytes = BytesAllocatedBy([&] { Ok = Reopened.open("store", Opts, &Err); });
+  EXPECT_FALSE(Ok);
+  EXPECT_LT(Bytes, Budget) << "STTJ replay allocated " << Bytes << " bytes";
+  EXPECT_NE(Err.find("truncated"), std::string::npos) << Err;
 }
 
 TEST(TriageStore, SuppressionsSilenceNewRaces) {
