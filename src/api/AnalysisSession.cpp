@@ -309,8 +309,9 @@ void AnalysisSession::process(std::span<const Event> Batch) {
   // Draw the shared decision stream once, on this (the ingest) thread, in
   // trace order; every lane then replays the same decisions, which is what
   // makes K session lanes byte-equivalent to K standalone runs over the
-  // same seed — sequential or parallel alike. One loop serves both modes
-  // (only the destination buffer differs) so they cannot drift apart.
+  // same seed — sequential or parallel alike. One Sampler::decide pass
+  // serves both modes (only the destination buffer differs) so they cannot
+  // drift apart.
   uint64_t T0 = nowNanos();
   ParallelExecutor::Slot *Slot = Par ? &Par->acquireSlot() : nullptr;
   if (Slot) {
@@ -327,11 +328,7 @@ void AnalysisSession::process(std::span<const Event> Batch) {
   }
   std::vector<uint8_t> &Ds = Slot ? Slot->Decisions : Decisions;
   Ds.resize(Batch.size());
-  for (size_t I = 0, N = Batch.size(); I < N; ++I) {
-    bool Sampled = isAccess(Batch[I].Kind) && S->shouldSample(Batch[I]);
-    Ds[I] = Sampled ? 1 : 0;
-    SampleSize += Sampled ? 1 : 0;
-  }
+  SampleSize += S->decide(Batch, Ds);
   if (Slot)
     Par->publish();
   uint64_t T1 = nowNanos();

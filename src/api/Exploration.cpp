@@ -103,10 +103,7 @@ ExploreReport sampletrack::api::runExploration(const SessionConfig &Cfg,
     // Freeze this schedule's sample set into the trace so the lanes and
     // the oracle provably agree on S. The sampler restarts per schedule:
     // schedule k's decisions depend only on (Cfg, k-th trace shape).
-    std::unique_ptr<Sampler> Sam = Cfg.makeSampler();
-    for (size_t I = 0; I < T.size(); ++I)
-      if (isAccess(T[I].Kind))
-        T[I].Marked = Sam->shouldSample(T[I]);
+    markTrace(T, *Cfg.makeSampler());
     if (PT)
       PT->addSpan(EnumNode, EnumT0, prof::nowNanos());
 

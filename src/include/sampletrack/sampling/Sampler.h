@@ -23,6 +23,7 @@
 
 #include <cassert>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_set>
 
@@ -42,6 +43,18 @@ public:
   /// events.
   virtual bool shouldSample(const Event &E) = 0;
 
+  /// Decides a whole batch: writes `isAccess(E.Kind) && <decision>` to
+  /// \p Out[I] for every \p Events[I] and returns how many were sampled.
+  /// The contract is the per-event one: each access is decided exactly
+  /// once, in trace order, and a non-access never draws (it gets a 0 and
+  /// leaves the sampler's state alone), so a `decide` over a batch leaves
+  /// the sampler exactly where the `isAccess && shouldSample` loop would,
+  /// whatever the batch boundaries. \p Out must hold at least
+  /// `Events.size()` bytes. The default is that loop; stateless samplers
+  /// override it with a branch-free pass.
+  virtual uint64_t decide(std::span<const Event> Events,
+                          std::span<uint8_t> Out);
+
   /// Human-readable configuration, e.g. "bernoulli(3%)".
   virtual std::string name() const = 0;
 };
@@ -51,6 +64,8 @@ public:
 class AlwaysSampler final : public Sampler {
 public:
   bool shouldSample(const Event &) override { return true; }
+  uint64_t decide(std::span<const Event> Events,
+                  std::span<uint8_t> Out) override;
   std::string name() const override { return "always"; }
 };
 
@@ -71,6 +86,8 @@ public:
   }
 
   bool shouldSample(const Event &) override { return Rng.nextBool(Rate); }
+  uint64_t decide(std::span<const Event> Events,
+                  std::span<uint8_t> Out) override;
 
   std::string name() const override;
 
@@ -128,8 +145,15 @@ private:
 class MarkedSampler final : public Sampler {
 public:
   bool shouldSample(const Event &E) override { return E.Marked; }
+  uint64_t decide(std::span<const Event> Events,
+                  std::span<uint8_t> Out) override;
   std::string name() const override { return "marked"; }
 };
+
+/// Freezes \p S's decisions into \p T: every access's Marked bit becomes
+/// its decision (other events keep theirs), drawn once per access in trace
+/// order.
+void markTrace(Trace &T, Sampler &S);
 
 /// Pre-marks \p T for \ref MarkedSampler: draws every access's sampling
 /// decision from a Bernoulli sampler at \p Rate and \p Seed (Rate >= 1.0

@@ -227,7 +227,9 @@ private:
   static constexpr size_t NumRoutes = 9;
 
   void acceptLoop();
-  void workerLoop(size_t Worker);
+  /// Serves queued connections, recording spans into \p PT (made by
+  /// start(); null when profiling is off).
+  void workerLoop(prof::Tree *PT);
   void compactionLoop();
   void serveConnection(int Fd, prof::Tree *PT);
   /// Routes one parsed request to a rendered response. Sets \p Close when

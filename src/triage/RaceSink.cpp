@@ -182,14 +182,19 @@ bool sampletrack::triage::readSummaryBody(support::ByteReader &Rd,
       return fail(Error, "corrupt summary entry (zero hit count)");
     if (!Seen.insert(E.Signature).second)
       return fail(Error, "corrupt summary (duplicate signature)");
-    HitTotal += E.Hits;
+    // A hit total past 2^64 exceeds any declared count; checked so it
+    // cannot wrap into agreement with one.
+    if (__builtin_add_overflow(HitTotal, E.Hits, &HitTotal))
+      return fail(Error, "corrupt summary (declaration counts inconsistent)");
     S.Entries.push_back(E);
   }
   if (!Rd.exhausted())
     return fail(Error, "trailing garbage after the last summary entry");
   // Declared counts every insert, stored or dropped; it can never be less
   // than what the stored entries account for.
-  if (S.RacesDeclared < HitTotal + S.DroppedDeclarations)
+  uint64_t Accounted = 0;
+  if (__builtin_add_overflow(HitTotal, S.DroppedDeclarations, &Accounted) ||
+      S.RacesDeclared < Accounted)
     return fail(Error, "corrupt summary (declaration counts inconsistent)");
   if (S.Capped != (S.DroppedDeclarations != 0))
     return fail(Error, "corrupt summary (capped flag inconsistent)");

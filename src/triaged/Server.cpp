@@ -204,8 +204,13 @@ bool Server::start(std::string *Error) {
   // chrome-trace export read them while requests are in flight.
   if (Cfg.ProfilingEnabled)
     Prof = std::make_unique<prof::Profiler>(/*LockTrees=*/true);
-  for (size_t I = 0; I < Cfg.NumWorkers; ++I)
-    Workers.emplace_back([this, I] { workerLoop(I); });
+  for (size_t I = 0; I < Cfg.NumWorkers; ++I) {
+    // Made here, not by the worker: the live profile names every worker
+    // from the moment start() returns, whether or not it has run yet.
+    prof::Tree *PT =
+        Prof ? Prof->makeTree("http-worker-" + std::to_string(I)) : nullptr;
+    Workers.emplace_back([this, PT] { workerLoop(PT); });
+  }
   Compactor = std::thread([this] { compactionLoop(); });
   Acceptor = std::thread([this] { acceptLoop(); });
   return true;
@@ -252,9 +257,7 @@ void Server::acceptLoop() {
   }
 }
 
-void Server::workerLoop(size_t Worker) {
-  prof::Tree *PT =
-      Prof ? Prof->makeTree("http-worker-" + std::to_string(Worker)) : nullptr;
+void Server::workerLoop(prof::Tree *PT) {
   for (;;) {
     int Fd = -1;
     {

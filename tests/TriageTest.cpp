@@ -575,6 +575,32 @@ TEST(WarehouseCodec, HostileEntryCountsAreRejectedBeforeAllocating) {
   EXPECT_NE(Err.find("truncated"), std::string::npos) << Err;
 }
 
+TEST(WarehouseCodec, HitTotalsPastTwoToThe64AreInconsistent) {
+  // Summed modulo 2^64, two entries of 2^63 hits total 0 and agree with
+  // RacesDeclared = 0; so do 2^64 - 1 drops plus one hit. The checked sums
+  // exceed every declared count.
+  auto Entry = [](uint64_t Signature, uint64_t Hits) {
+    TriageEntry E;
+    E.Signature = Signature;
+    E.Hits = Hits;
+    return E;
+  };
+  TriageSummary HitsWrap;
+  HitsWrap.Entries = {Entry(1, uint64_t(1) << 63), Entry(2, uint64_t(1) << 63)};
+  TriageSummary DropsWrap;
+  DropsWrap.Entries = {Entry(1, 1)};
+  DropsWrap.DroppedDeclarations = ~uint64_t(0);
+  DropsWrap.Capped = true;
+  for (const TriageSummary *S : {&HitsWrap, &DropsWrap}) {
+    std::string Err;
+    TriageSummary Decoded;
+    EXPECT_FALSE(
+        triaged::decodeSummary(triaged::encodeSummary(*S), Decoded, &Err));
+    EXPECT_NE(Err.find("declaration counts inconsistent"), std::string::npos)
+        << Err;
+  }
+}
+
 TEST(TriageStore, SuppressionsSilenceNewRaces) {
   TriageStore Store;
   Store.suppress(sigOfVar(10)); // Suppression predating first occurrence.

@@ -518,6 +518,27 @@ TEST(TriagedServer, ServesWarehouseEndpointsEndToEnd) {
   S.stop();
 }
 
+TEST(TriagedServer, EveryWorkerTreeExistsWhenStartReturns) {
+  // start() makes every worker's profiler tree before it spawns the
+  // workers, so the live profile names all of them at once, not only the
+  // ones the scheduler has got round to running.
+  ServerConfig Cfg;
+  Cfg.NumWorkers = 3;
+  Server S(Cfg);
+  std::string Err;
+  ASSERT_TRUE(S.start(&Err)) << Err;
+  ASSERT_NE(S.profiler(), nullptr);
+  std::vector<std::string> Names;
+  for (const prof::Tree *T : S.profiler()->trees())
+    Names.push_back(T->name());
+  std::string Trace = prof::toChromeTrace(*S.profiler(), "triaged");
+  S.stop();
+  EXPECT_EQ(Names, (std::vector<std::string>{"http-worker-0", "http-worker-1",
+                                             "http-worker-2"}));
+  for (const std::string &Name : Names)
+    EXPECT_NE(Trace.find(Name), std::string::npos) << Name;
+}
+
 TEST(TriagedServer, StatsCarryLatencyHistogramsAndSelfProfile) {
   Server S({});
   std::string Err;
