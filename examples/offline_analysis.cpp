@@ -151,7 +151,11 @@ int main(int argc, char **argv) {
   Cfg.Sampling = api::SamplerKind::Bernoulli;
   Cfg.SamplingRate = Rate;
   Cfg.Seed = Seed * 31 + 5;
-  api::SessionResult R = api::AnalysisSession(Cfg).run(T);
+  api::SessionResult R;
+  if (!api::AnalysisSession(Cfg).run(T, R, &Err)) {
+    std::fprintf(stderr, "error: %s\n", Err.c_str());
+    return 1;
+  }
 
   uint64_t SampleSize = R.Engines.empty() ? 0 : R.Engines[0].SampleSize;
   std::printf("trace: %zu events, %zu threads, %zu syncs, %zu vars, |S| = "

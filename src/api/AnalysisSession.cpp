@@ -228,7 +228,7 @@ AnalysisSession &AnalysisSession::withSampler(std::unique_ptr<Sampler> Sm) {
 }
 
 bool AnalysisSession::begin(size_t NumThreads, std::string *Error) {
-  auto Fail = [&](const char *Msg) {
+  auto Fail = [&](const std::string &Msg) {
     if (Error)
       *Error = Msg;
     return false;
@@ -242,6 +242,14 @@ bool AnalysisSession::begin(size_t NumThreads, std::string *Error) {
                               : (NumThreads ? NumThreads : Cfg.MaxThreads);
   if (!RunThreads)
     return Fail("thread universe size is zero");
+  uint64_t ClockWords = 0;
+  if (__builtin_mul_overflow(uint64_t(RunThreads), uint64_t(RunThreads),
+                             &ClockWords) ||
+      ClockWords > MaxClockBytesPerEngine / sizeof(ClockValue))
+    return Fail("thread universe of " + std::to_string(RunThreads) +
+                " threads refused: its vector clocks need more than " +
+                std::to_string(MaxClockBytesPerEngine >> 20) +
+                " MiB per engine");
 
   Lanes.clear();
   // Fresh profiler per run: the previous run's timeline (if any) is owned
@@ -416,8 +424,8 @@ SessionResult AnalysisSession::finish() {
   return R;
 }
 
-bool AnalysisSession::runLoaded(const Trace &T, SessionResult &Out,
-                                std::string *Error) {
+bool AnalysisSession::run(const Trace &T, SessionResult &Out,
+                          std::string *Error) {
   if (!begin(T.numThreads(), Error))
     return false;
   StableSource = true; // T outlives the run; spans can cross the hand-off.
@@ -432,7 +440,7 @@ bool AnalysisSession::runLoaded(const Trace &T, SessionResult &Out,
 
 SessionResult AnalysisSession::run(const Trace &T) {
   SessionResult R;
-  runLoaded(T, R, nullptr); // Failure leaves R empty (no lanes configured).
+  run(T, R, nullptr); // Failure leaves R empty.
   return R;
 }
 
@@ -464,7 +472,7 @@ bool AnalysisSession::run(std::istream &Is, SessionResult &Out,
   Trace T;
   if (!readTrace(Is, T, Error))
     return false;
-  return runLoaded(T, Out, Error);
+  return run(T, Out, Error);
 }
 
 bool AnalysisSession::runFile(const std::string &Path, SessionResult &Out,

@@ -46,6 +46,13 @@
 namespace sampletrack {
 namespace api {
 
+/// Largest vector-clock footprint, in bytes, one engine lane may size for
+/// its thread universe: T thread clocks of T entries each. A trace's
+/// header or largest thread id is outside input, so \ref
+/// AnalysisSession::begin refuses a larger universe, with a reason, before
+/// anything is allocated. 1 GiB admits T up to 11,585.
+inline constexpr uint64_t MaxClockBytesPerEngine = uint64_t(1) << 30;
+
 /// Structured result of one detector lane over one session run.
 struct EngineRun {
   /// Engine name as used in the paper ("FT", "ST", ...).
@@ -159,8 +166,9 @@ public:
   /// Materializes the lanes and the sampler. The thread-universe size is
   /// Config.NumThreads when nonzero (an explicit override always wins),
   /// else \p NumThreads (the source-derived size), else Config.MaxThreads
-  /// (the live-hook fallback). Fails if already active or if no lane is
-  /// configured.
+  /// (the live-hook fallback). Fails if already active, if no lane is
+  /// configured, or if the universe's clocks would exceed
+  /// \ref MaxClockBytesPerEngine.
   bool begin(size_t NumThreads = 0, std::string *Error = nullptr);
   bool active() const { return Active; }
   /// Thread-universe size of the active run (0 when inactive).
@@ -179,8 +187,10 @@ public:
   SessionResult finish();
 
   // -- One-shot sources (each is a single traversal) -------------------
-  /// In-memory source. Returns an empty result if begin() would fail (no
-  /// lanes configured, or the session is already active).
+  /// In-memory source. Returns false, with the reason in \p Error when
+  /// nonnull, if begin() fails.
+  bool run(const Trace &T, SessionResult &Out, std::string *Error = nullptr);
+  /// In-memory source. Returns an empty result if begin() would fail.
   SessionResult run(const Trace &T);
   /// Streamed source: binary traces are decoded incrementally in
   /// Config.BatchSize chunks (the whole trace is never materialized); text
@@ -218,10 +228,6 @@ private:
   /// single-producer broadcast ring plus one thread per worker, each worker
   /// owning a fixed subset of lanes.
   class ParallelExecutor;
-
-  /// Shared driver behind run(Trace) and the text-stream fallback:
-  /// begin + batched feed + finish, propagating begin() failures.
-  bool runLoaded(const Trace &T, SessionResult &Out, std::string *Error);
 
   SessionConfig Cfg;
   std::vector<Detector *> BorrowedDetectors;

@@ -6,18 +6,19 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The one byte discipline of the race warehouse's persisted and wire
-/// formats — the STTS store image, the STTJ journal, the STSG signature
-/// summary and the STWF upload frame: fixed-width little-endian integers,
-/// 4-byte magics, and FNV-1a 64 checksums. Writers append to a
-/// std::string; \ref ByteReader reads back over a std::string_view and
-/// fails, instead of reading past the end, on every short input.
+/// The one byte discipline of the persisted and wire formats — the STTS
+/// store image, the STTJ journal, the STSG signature summary, the STWF
+/// upload frame and the STRC binary trace: fixed-width little-endian
+/// integers, LEB128 varints, 4-byte magics, and FNV-1a 64 checksums.
+/// Writers append to a std::string; \ref ByteReader reads back over a
+/// std::string_view and fails, instead of reading past the end, on every
+/// short input.
 ///
-/// Every reader of outside input declares its element counts through
-/// \ref ByteReader::getCount, which rejects a count the remaining bytes
-/// cannot hold before the caller reserves anything for it: a tiny,
-/// checksum-valid input that claims 2^40 entries is refused as truncated
-/// without a large allocation.
+/// Every reader of outside input bounds its element counts by the bytes
+/// left before it reserves anything for them — the warehouse formats
+/// through \ref ByteReader::getCount, the binary trace by its smallest
+/// event — so a tiny, checksum-valid input that claims 2^40 entries is
+/// refused as truncated without a large allocation.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -51,6 +52,19 @@ inline void putU16(std::string &S, uint16_t V) { detail::putLE(S, V); }
 inline void putU32(std::string &S, uint32_t V) { detail::putLE(S, V); }
 inline void putU64(std::string &S, uint64_t V) { detail::putLE(S, V); }
 
+/// Longest encoding \ref putVarint emits: ceil(64 / 7) bytes.
+inline constexpr size_t MaxVarintBytes = 10;
+
+/// Appends \p V as an unsigned LEB128 varint: 7 bits per byte, low group
+/// first, the high bit set on every byte but the last.
+inline void putVarint(std::string &S, uint64_t V) {
+  while (V >= 0x80) {
+    S.push_back(static_cast<char>((V & 0x7f) | 0x80));
+    V >>= 7;
+  }
+  S.push_back(static_cast<char>(V));
+}
+
 /// FNV-1a 64 of \p Bytes: the checksum every warehouse format carries.
 inline uint64_t fnv1a(std::string_view Bytes) {
   Fnv1a H;
@@ -69,6 +83,27 @@ public:
   bool getU16(uint16_t &V) { return getLE(V); }
   bool getU32(uint32_t &V) { return getLE(V); }
   bool getU64(uint64_t &V) { return getLE(V); }
+
+  /// Reads a \ref putVarint encoding of at most \ref MaxVarintBytes
+  /// bytes. Fails on a truncated varint and on one whose tenth byte still
+  /// has its continuation bit set; the tenth byte's bits past bit 63 are
+  /// dropped.
+  bool getVarint(uint64_t &V) {
+    uint64_t Acc = 0;
+    size_t P = Pos;
+    for (unsigned Shift = 0; Shift < 64; Shift += 7) {
+      if (P == Bytes.size())
+        return false;
+      uint8_t C = static_cast<uint8_t>(Bytes[P++]);
+      Acc |= static_cast<uint64_t>(C & 0x7f) << Shift;
+      if (!(C & 0x80)) {
+        V = Acc;
+        Pos = P;
+        return true;
+      }
+    }
+    return false;
+  }
 
   /// Copies the next \p Len bytes into \p Out.
   bool getBytes(std::string &Out, size_t Len) {

@@ -52,15 +52,23 @@ inline constexpr VarId NoVar = std::numeric_limits<VarId>::max();
 /// with libraries that size the new buffer exactly; doubling the capacity
 /// makes lazily-grown per-variable / per-sync state amortized O(1) per
 /// element on every implementation.
+///
+/// Only the size check is inline: the growth lives in a separate cold
+/// function, so the per-event call sites in the detectors stay one compare
+/// and a not-taken branch.
 template <typename VecT>
-inline void growToIndex(VecT &Vec, std::size_t I) {
-  if (I < Vec.size())
-    return;
+[[gnu::noinline, gnu::cold]] void growToIndexSlow(VecT &Vec, std::size_t I) {
   if (I >= Vec.capacity()) {
     std::size_t Doubled = Vec.capacity() * 2;
     Vec.reserve(I + 1 > Doubled ? I + 1 : Doubled);
   }
   Vec.resize(I + 1);
+}
+
+template <typename VecT>
+inline void growToIndex(VecT &Vec, std::size_t I) {
+  if (I >= Vec.size()) [[unlikely]]
+    growToIndexSlow(Vec, I);
 }
 
 /// Incremental FNV-1a 64 — the repo's one non-cryptographic byte hash

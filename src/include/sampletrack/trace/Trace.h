@@ -18,6 +18,7 @@
 
 #include "sampletrack/trace/Event.h"
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -43,8 +44,22 @@ public:
   std::vector<Event>::const_iterator begin() const { return Events.begin(); }
   std::vector<Event>::const_iterator end() const { return Events.end(); }
 
-  /// Appends an event, growing the universes if the ids are new.
-  void append(const Event &E);
+  /// Appends an event, growing the universes if the ids are new. The
+  /// target grows the universe its kind names; the updates select rather
+  /// than branch, since kinds interleave at random in real traces.
+  void append(const Event &E) {
+    bool ForkJoin = E.Kind == OpKind::Fork || E.Kind == OpKind::Join;
+    bool Access = isAccess(E.Kind);
+    size_t Tid1 = static_cast<size_t>(E.Tid) + 1;
+    size_t Target1 = static_cast<size_t>(E.Target) + 1;
+    NumThreads = std::max({NumThreads, Tid1, ForkJoin ? Target1 : 0});
+    NumVars = std::max(NumVars, Access ? Target1 : 0);
+    NumSyncs = std::max(NumSyncs, Access || ForkJoin ? 0 : Target1);
+    Events.push_back(E);
+  }
+
+  /// Reserves room for \p N events (see std::vector::reserve).
+  void reserve(size_t N) { Events.reserve(N); }
 
   // Convenience builders (all grow the universes as needed). \p Marked
   // realizes membership in the sample set S for offline analyses.

@@ -11,24 +11,6 @@
 
 using namespace sampletrack;
 
-void Trace::append(const Event &E) {
-  size_t NeededThreads = static_cast<size_t>(E.Tid) + 1;
-  if (E.Kind == OpKind::Fork || E.Kind == OpKind::Join)
-    NeededThreads =
-        std::max(NeededThreads, static_cast<size_t>(E.Target) + 1);
-  if (NeededThreads > NumThreads)
-    NumThreads = NeededThreads;
-
-  if (isAccess(E.Kind)) {
-    if (E.Target + 1 > NumVars)
-      NumVars = E.Target + 1;
-  } else if (E.Kind != OpKind::Fork && E.Kind != OpKind::Join) {
-    if (E.Target + 1 > NumSyncs)
-      NumSyncs = E.Target + 1;
-  }
-  Events.push_back(E);
-}
-
 size_t Trace::countMarked() const {
   size_t N = 0;
   for (const Event &E : Events)

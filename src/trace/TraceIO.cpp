@@ -7,6 +7,10 @@
 
 #include "sampletrack/trace/TraceIO.h"
 
+#include "sampletrack/support/ByteCodec.h"
+
+#include <algorithm>
+#include <array>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -173,44 +177,122 @@ bool sampletrack::writeTraceFile(const std::string &Path, const Trace &T) {
 
 namespace {
 
+using support::ByteReader;
+
 constexpr char BinaryMagic[5] = {'S', 'T', 'R', 'C', '\1'};
 
-void writeVarint(std::ostream &Os, uint64_t V) {
-  while (V >= 0x80) {
-    Os.put(static_cast<char>((V & 0x7f) | 0x80));
-    V >>= 7;
-  }
-  Os.put(static_cast<char>(V));
+/// A kind/marked tag byte and two varints (tid, target).
+constexpr size_t MinEventBytes = 3;
+constexpr size_t MaxEventBytes = 1 + 2 * support::MaxVarintBytes;
+/// Four varints: three universe sizes and the event count.
+constexpr size_t MaxHeaderBytes = 4 * support::MaxVarintBytes;
+
+/// Bytes \ref writeTraceBinary buffers before each stream write, and the
+/// readers take from the stream per call.
+constexpr size_t ChunkBytes = 16 << 10;
+
+/// Appends up to \p Want bytes from \p Is's buffer to \p Buf and returns
+/// how many arrived: 0 at the end of the stream.
+size_t appendFrom(std::istream &Is, std::string &Buf, size_t Want) {
+  std::streambuf *Sb = Is.rdbuf();
+  size_t Len = Buf.size();
+  Buf.resize(Len + Want);
+  std::streamsize N =
+      Sb ? Sb->sgetn(Buf.data() + Len, static_cast<std::streamsize>(Want)) : 0;
+  size_t Got = N > 0 ? static_cast<size_t>(N) : 0;
+  Buf.resize(Len + Got);
+  return Got;
 }
 
-bool readVarint(std::istream &Is, uint64_t &Out) {
-  Out = 0;
-  for (unsigned Shift = 0; Shift < 64; Shift += 7) {
-    int C = Is.get();
-    if (C == EOF)
-      return false;
-    Out |= static_cast<uint64_t>(C & 0x7f) << Shift;
-    if (!(C & 0x80))
-      return true;
+/// The header's universe sizes, indexed by \ref Universe.
+enum Universe : uint8_t { Vars, Syncs, Threads };
+using Universes = std::array<uint64_t, 3>;
+
+/// The universe each kind's target indexes, by \ref OpKind value.
+constexpr Universe TargetUniverse[] = {Vars,    Vars,  Syncs, Syncs, Threads,
+                                       Threads, Syncs, Syncs, Syncs};
+constexpr uint8_t MaxKind = static_cast<uint8_t>(OpKind::AcquireLoad);
+static_assert(std::size(TargetUniverse) == MaxKind + 1);
+
+/// Decodes one event and checks its ids against the header universes.
+/// Returns the error text, or null on success. The id checks are
+/// combined without short-circuiting: kinds and marks interleave at
+/// random in real traces, and a branch per kind would mispredict.
+const char *decodeEvent(ByteReader &R, const Universes &U, Event &Out) {
+  uint8_t Tag;
+  if (!R.getByte(Tag))
+    return "truncated binary trace body";
+  // Low 4 bits: kind; bit 4: marked.
+  uint8_t Kind = Tag & 0x0f;
+  bool Marked = (Tag & 0x10) != 0;
+  if (Kind > MaxKind)
+    return "invalid event kind";
+  uint64_t Tid, Target;
+  if (!R.getVarint(Tid) || !R.getVarint(Target))
+    return "truncated event";
+  OpKind K = static_cast<OpKind>(Kind);
+  if (Marked & !isAccess(K))
+    return "marked non-access event";
+  // Checked here, before any consumer indexes per-thread state with them:
+  // a streamed batch reaches the detectors before the trace has ended.
+  if ((Tid >= U[Threads]) | (Target >= U[TargetUniverse[Kind]]))
+    return "binary trace header inconsistent with events";
+  Out = Event(static_cast<ThreadId>(Tid), K, Target, Marked);
+  return nullptr;
+}
+
+/// The header after the magic: three universe sizes and the event count.
+bool decodeHeader(ByteReader &R, Universes &U, uint64_t &Events,
+                  std::string *Error) {
+  if (!R.getVarint(U[Threads]) || !R.getVarint(U[Syncs]) ||
+      !R.getVarint(U[Vars]) || !R.getVarint(Events))
+    return support::fail(Error, "truncated binary trace header");
+  return true;
+}
+
+/// The one whole-trace decoder: header and events after the magic.
+bool decodeTraceBody(std::string_view Bytes, Trace &Out, std::string *Error) {
+  Out = Trace();
+  ByteReader R(Bytes);
+  Universes U;
+  uint64_t Events;
+  if (!decodeHeader(R, U, Events, Error))
+    return false;
+  // Bound the count by what the bytes can hold before reserving for it.
+  if (Events > R.remaining() / MinEventBytes)
+    return support::fail(Error, "truncated binary trace body");
+  Out.reserve(static_cast<size_t>(Events));
+  for (uint64_t I = 0; I < Events; ++I) {
+    Event E;
+    if (const char *Msg = decodeEvent(R, U, E))
+      return support::fail(Error, Msg);
+    // append sizes the universes from the ids, as the text loader does.
+    Out.append(E);
   }
-  return false; // Overlong encoding.
+  return true;
 }
 
 } // namespace
 
 void sampletrack::writeTraceBinary(std::ostream &Os, const Trace &T) {
-  Os.write(BinaryMagic, sizeof(BinaryMagic));
-  writeVarint(Os, T.numThreads());
-  writeVarint(Os, T.numSyncs());
-  writeVarint(Os, T.numVars());
-  writeVarint(Os, T.size());
+  std::string Buf(BinaryMagic, sizeof(BinaryMagic));
+  Buf.reserve(ChunkBytes + MaxEventBytes);
+  support::putVarint(Buf, T.numThreads());
+  support::putVarint(Buf, T.numSyncs());
+  support::putVarint(Buf, T.numVars());
+  support::putVarint(Buf, T.size());
   for (const Event &E : T) {
     // Low 4 bits: kind; bit 4: marked.
-    uint8_t Tag = static_cast<uint8_t>(E.Kind) | (E.Marked ? 0x10 : 0);
-    Os.put(static_cast<char>(Tag));
-    writeVarint(Os, E.Tid);
-    writeVarint(Os, E.Target);
+    Buf.push_back(static_cast<char>(static_cast<uint8_t>(E.Kind) |
+                                    (E.Marked ? 0x10 : 0)));
+    support::putVarint(Buf, E.Tid);
+    support::putVarint(Buf, E.Target);
+    if (Buf.size() >= ChunkBytes) {
+      Os.write(Buf.data(), static_cast<std::streamsize>(Buf.size()));
+      Buf.clear();
+    }
   }
+  Os.write(Buf.data(), static_cast<std::streamsize>(Buf.size()));
 }
 
 bool sampletrack::writeTraceFileBinary(const std::string &Path,
@@ -234,78 +316,76 @@ bool sampletrack::sniffBinaryTrace(std::istream &Is) {
   return Match;
 }
 
+bool sampletrack::readTraceBinary(std::string_view Bytes, Trace &Out,
+                                  std::string *Error) {
+  std::string_view Magic(BinaryMagic, sizeof(BinaryMagic));
+  if (!Bytes.starts_with(Magic)) {
+    Out = Trace();
+    return support::fail(Error, "not a binary trace");
+  }
+  return decodeTraceBody(Bytes.substr(Magic.size()), Out, Error);
+}
+
+bool sampletrack::readTraceBinary(std::istream &Is, Trace &Out,
+                                  std::string *Error) {
+  std::string Bytes;
+  while (appendFrom(Is, Bytes, ChunkBytes) != 0) {
+  }
+  return decodeTraceBody(Bytes, Out, Error);
+}
+
+void BinaryTraceReader::refill(size_t Need) {
+  Buf.erase(0, Head);
+  Head = 0;
+  // One read fills the buffer from a file or string stream; a stream that
+  // hands out less is read again only until \p Need bytes are buffered.
+  while (!Eof && Buf.size() < Need)
+    Eof = appendFrom(*Is, Buf, ChunkBytes - Buf.size()) == 0;
+}
+
 bool BinaryTraceReader::open(std::istream &Stream, std::string *Error) {
   Is = &Stream;
+  Buf.clear();
+  Head = 0;
+  Eof = false;
   Position = 0;
-  uint64_t Threads, Syncs, Vars;
-  if (!readVarint(*Is, Threads) || !readVarint(*Is, Syncs) ||
-      !readVarint(*Is, Vars) || !readVarint(*Is, NumEvents)) {
-    if (Error)
-      *Error = "truncated binary trace header";
+  refill(MaxHeaderBytes);
+  ByteReader R(Buf);
+  Universes U;
+  if (!decodeHeader(R, U, NumEvents, Error))
     return false;
-  }
-  NumThreads = static_cast<size_t>(Threads);
-  NumSyncs = static_cast<size_t>(Syncs);
-  NumVars = static_cast<size_t>(Vars);
+  Head = R.pos();
+  NumThreads = static_cast<size_t>(U[Threads]);
+  NumSyncs = static_cast<size_t>(U[Syncs]);
+  NumVars = static_cast<size_t>(U[Vars]);
   return true;
 }
 
 bool BinaryTraceReader::read(std::vector<Event> &Out, size_t Max,
                              std::string *Error) {
-  auto Fail = [&](const char *Msg) {
-    if (Error)
-      *Error = Msg;
-    return false;
-  };
   Out.clear();
   if (!Is)
-    return Fail("reader not opened");
-  if (Max == 0)
-    return Fail("zero batch size"); // A while(!done()) loop would never end.
-  constexpr uint8_t MaxKind = static_cast<uint8_t>(OpKind::AcquireLoad);
+    return support::fail(Error, "reader not opened");
+  if (Max == 0) // A while(!done()) loop would never end.
+    return support::fail(Error, "zero batch size");
+  Universes U;
+  U[Threads] = NumThreads;
+  U[Syncs] = NumSyncs;
+  U[Vars] = NumVars;
+  ByteReader R(std::string_view(Buf).substr(Head));
   while (Out.size() < Max && Position < NumEvents) {
-    int Tag = Is->get();
-    if (Tag == EOF)
-      return Fail("truncated binary trace body");
-    uint8_t Kind = static_cast<uint8_t>(Tag) & 0x0f;
-    bool Marked = (Tag & 0x10) != 0;
-    if (Kind > MaxKind)
-      return Fail("invalid event kind");
-    uint64_t Tid, Target;
-    if (!readVarint(*Is, Tid) || !readVarint(*Is, Target))
-      return Fail("truncated event");
-    OpKind K = static_cast<OpKind>(Kind);
-    if (Marked && !isAccess(K))
-      return Fail("marked non-access event");
-    // Events are handed to detectors batch by batch, so unlike the whole-
-    // trace loader the ids must be validated against the header universes
-    // here, before any consumer indexes per-thread state with them.
-    bool TargetOk = isAccess(K) ? Target < NumVars
-                    : (K == OpKind::Fork || K == OpKind::Join)
-                        ? Target < NumThreads
-                        : Target < NumSyncs;
-    if (Tid >= NumThreads || !TargetOk)
-      return Fail("binary trace header inconsistent with events");
-    Out.emplace_back(static_cast<ThreadId>(Tid), K, Target, Marked);
+    // Top up whenever the next event may straddle the buffer's end.
+    if (R.remaining() < MaxEventBytes && !Eof) {
+      Head += R.pos();
+      refill(MaxEventBytes);
+      R = ByteReader(std::string_view(Buf).substr(Head));
+    }
+    Event E;
+    if (const char *Msg = decodeEvent(R, U, E))
+      return support::fail(Error, Msg);
+    Out.push_back(E);
     ++Position;
   }
-  return true;
-}
-
-bool sampletrack::readTraceBinary(std::istream &Is, Trace &Out,
-                                  std::string *Error) {
-  Out = Trace();
-  BinaryTraceReader Reader;
-  if (!Reader.open(Is, Error))
-    return false;
-  std::vector<Event> Batch;
-  while (!Reader.done()) {
-    // read() validates every id against the header universes, so the
-    // loaded trace can never outgrow the header.
-    if (!Reader.read(Batch, 4096, Error))
-      return false;
-    for (const Event &E : Batch)
-      Out.append(E);
-  }
+  Head += R.pos();
   return true;
 }

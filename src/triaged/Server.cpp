@@ -537,11 +537,8 @@ std::string Server::handleUpload(const HttpRequest &Req, bool KeepAlive,
   triage::TriageSummary Summary;
   uint64_t Events = 0;
   if (Frame.Content == WireContent::BinaryTrace) {
-    std::istringstream Is{std::string(Frame.Payload)};
-    if (!sniffBinaryTrace(Is))
-      return Reject(422, "frame payload is not a binary trace");
     Trace T;
-    if (!readTraceBinary(Is, T, &Err))
+    if (!readTraceBinary(Frame.Payload, T, &Err))
       return Reject(422, Err);
     if (PT) {
       uint64_t Now = prof::nowNanos();
@@ -553,7 +550,9 @@ std::string Server::handleUpload(const HttpRequest &Req, bool KeepAlive,
     api::SessionConfig A = Cfg.Analysis;
     A.TriageStorePath.clear();
     A.SuppressionFile.clear();
-    api::SessionResult R = api::AnalysisSession(A).run(T);
+    api::SessionResult R;
+    if (!api::AnalysisSession(A).run(T, R, &Err))
+      return Reject(422, Err);
     Summary = std::move(R.Triage);
     Events = R.EventsProcessed;
     CTraceUploads.fetch_add(1, std::memory_order_relaxed);

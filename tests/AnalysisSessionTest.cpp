@@ -21,7 +21,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <sstream>
+#include <unistd.h>
 
 using namespace sampletrack;
 
@@ -44,6 +47,17 @@ oneLaneRun(const Trace &T, EngineKind K, double Rate, uint64_t Seed) {
       api::AnalysisSession().addDetector(*D).withSampler(S).run(T);
   return {R.Engines.front(), D->races()};
 }
+
+/// 14 bytes: a header that declares 200,000 threads, then one read by T0.
+/// Streamed, the header sizes the session: T^2 clocks per engine.
+const std::string ManyThreadsHeader("STRC\x01\xc0\x9a\x0c\x00\x01\x01"
+                                    "\x00\x00\x00",
+                                    14);
+/// 16 bytes: the same header, then one read by thread 199,999. Loaded whole,
+/// the largest thread id sizes the trace's universe.
+const std::string FarThreadRead("STRC\x01\xc0\x9a\x0c\x00\x01\x01"
+                                "\x00\xbf\x9a\x0c\x00",
+                                16);
 
 } // namespace
 
@@ -395,4 +409,47 @@ TEST(DetectorFactory, CreateDetectorsPreservesPresentationOrder) {
     std::optional<EngineKind> Parsed = parseEngineKind(Ds[I]->name());
     ASSERT_TRUE(Parsed.has_value()) << Ds[I]->name();
   }
+}
+
+TEST(AnalysisSession, RefusesAThreadUniverseItsClocksCannotHold) {
+  // Both inputs once made every engine allocate 200,000 clocks of 200,000
+  // entries and died of std::bad_alloc. begin() now refuses the universe,
+  // with a reason, before it sizes anything.
+  api::SessionConfig Cfg;
+  Cfg.Engines = {EngineKind::FastTrack, EngineKind::SamplingO};
+  const std::string Reason = "thread universe of 200000 threads refused";
+
+  for (const std::string *Bytes : {&ManyThreadsHeader, &FarThreadRead}) {
+    std::istringstream Is(*Bytes);
+    api::SessionResult R;
+    std::string Err;
+    EXPECT_FALSE(api::AnalysisSession(Cfg).run(Is, R, &Err));
+    EXPECT_NE(Err.find(Reason), std::string::npos) << Err;
+  }
+
+  std::string Path = "/tmp/sampletrack_session_many_threads_" +
+                     std::to_string(::getpid()) + ".trace";
+  std::ofstream(Path, std::ios::binary) << ManyThreadsHeader;
+  api::SessionResult R;
+  std::string Err;
+  EXPECT_FALSE(api::AnalysisSession(Cfg).runFile(Path, R, &Err));
+  EXPECT_NE(Err.find(Reason), std::string::npos) << Err;
+  std::remove(Path.c_str());
+
+  Trace Far;
+  ASSERT_TRUE(readTraceBinary(FarThreadRead, Far, &Err)) << Err;
+  ASSERT_EQ(Far.numThreads(), 200000u);
+  api::AnalysisSession Session(Cfg);
+  EXPECT_FALSE(Session.run(Far, R, &Err));
+  EXPECT_NE(Err.find(Reason), std::string::npos) << Err;
+  EXPECT_TRUE(Session.run(Far).Engines.empty());
+
+  // The refusal leaves the session reusable, and the same header's one
+  // event analyzes fine once loaded whole: its universe is one thread.
+  Trace One;
+  ASSERT_TRUE(readTraceBinary(ManyThreadsHeader, One, &Err)) << Err;
+  ASSERT_EQ(One.numThreads(), 1u);
+  ASSERT_TRUE(Session.run(One, R, &Err)) << Err;
+  EXPECT_EQ(R.EventsProcessed, 1u);
+  EXPECT_EQ(R.Engines.size(), 2u);
 }

@@ -675,6 +675,37 @@ TEST(TriagedServer, RejectsCorruptUploadsWithoutTouchingTheStore) {
   S.stop();
 }
 
+TEST(TriagedServer, RefusesAHostileThreadUniverseAndKeepsServing) {
+  // A 16-byte binary trace whose one read names thread 199,999: analyzing
+  // it would size 200,000 clocks of 200,000 entries per engine. The server
+  // answers 422 with the session's reason and serves the next upload.
+  Server S({});
+  std::string Err;
+  ASSERT_TRUE(S.start(&Err)) << Err;
+  Client C("127.0.0.1", S.port());
+  const std::string FarThreadRead("STRC\x01\xc0\x9a\x0c\x00\x01\x01"
+                                  "\x00\xbf\x9a\x0c\x00",
+                                  16);
+  Client::Response Resp;
+  ASSERT_TRUE(C.post("/v1/runs", "application/x-sampletrack-upload",
+                     frame(WireContent::BinaryTrace, FarThreadRead), Resp,
+                     &Err))
+      << Err;
+  EXPECT_EQ(Resp.Status, 422);
+  EXPECT_NE(Resp.Body.find("thread universe of 200000 threads refused"),
+            std::string::npos)
+      << Resp.Body;
+
+  UploadOutcome Up;
+  ASSERT_TRUE(C.uploadTrace(racyTrace(3), Up, &Err)) << Err;
+  EXPECT_EQ(Up.Run, 1u);
+  EXPECT_GT(Up.Declared, 0u);
+  ServerStats St = S.stats();
+  EXPECT_EQ(St.UploadsRejected, 1u);
+  EXPECT_EQ(St.UploadsAccepted, 1u);
+  S.stop();
+}
+
 TEST(TriagedServer, SequenceGapTimesOutWith409) {
   ServerConfig Cfg;
   Cfg.SequenceTimeoutMillis = 200; // Fail fast; nothing will fill the gap.
