@@ -9,6 +9,7 @@
 
 #include "sampletrack/trace/TraceIO.h"
 
+#include <algorithm>
 #include <array>
 #include <cassert>
 #include <chrono>
@@ -242,14 +243,20 @@ bool AnalysisSession::begin(size_t NumThreads, std::string *Error) {
                               : (NumThreads ? NumThreads : Cfg.MaxThreads);
   if (!RunThreads)
     return Fail("thread universe size is zero");
-  uint64_t ClockWords = 0;
+  // The widest configured engine sets the bound; borrowed detectors were
+  // sized by their owner, and are held to the narrowest clocks.
+  uint64_t ComponentBytes = sizeof(ClockValue);
+  for (EngineKind K : Cfg.Engines)
+    ComponentBytes = std::max<uint64_t>(ComponentBytes,
+                                        clockBytesPerComponent(K));
+  uint64_t Components = 0;
   if (__builtin_mul_overflow(uint64_t(RunThreads), uint64_t(RunThreads),
-                             &ClockWords) ||
-      ClockWords > MaxClockBytesPerEngine / sizeof(ClockValue))
+                             &Components) ||
+      Components > MaxClockBytesPerEngine / ComponentBytes)
     return Fail("thread universe of " + std::to_string(RunThreads) +
-                " threads refused: its vector clocks need more than " +
+                " threads refused: its thread clocks need more than " +
                 std::to_string(MaxClockBytesPerEngine >> 20) +
-                " MiB per engine");
+                " MiB in one engine");
 
   Lanes.clear();
   // Fresh profiler per run: the previous run's timeline (if any) is owned

@@ -73,6 +73,23 @@ std::vector<EngineKind> sampletrack::allEngineKinds() {
           EngineKind::TreeClockFull};
 }
 
+size_t sampletrack::clockBytesPerComponent(EngineKind K) {
+  switch (K) {
+  case EngineKind::Djit:
+  case EngineKind::FastTrack:
+  case EngineKind::SamplingNaive:
+    return sizeof(ClockValue); // C.
+  case EngineKind::SamplingU:
+    return 2 * sizeof(ClockValue); // C and U.
+  case EngineKind::SamplingO:
+  case EngineKind::SamplingONoEpochOpt:
+    return OrderedList::componentBytes() + sizeof(ClockValue); // O and U.
+  case EngineKind::TreeClockFull:
+    return TreeClock::componentBytes();
+  }
+  return 0;
+}
+
 std::unique_ptr<Detector> sampletrack::createDetector(EngineKind K,
                                                       size_t NumThreads) {
   switch (K) {

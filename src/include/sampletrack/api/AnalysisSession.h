@@ -46,11 +46,13 @@
 namespace sampletrack {
 namespace api {
 
-/// Largest vector-clock footprint, in bytes, one engine lane may size for
-/// its thread universe: T thread clocks of T entries each. A trace's
-/// header or largest thread id is outside input, so \ref
-/// AnalysisSession::begin refuses a larger universe, with a reason, before
-/// anything is allocated. 1 GiB admits T up to 11,585.
+/// Largest thread-clock footprint, in bytes, one engine lane may size for
+/// its thread universe: T clocks of T components each, at
+/// clockBytesPerComponent bytes per component. A trace's header or largest
+/// thread id is outside input, so \ref AnalysisSession::begin refuses a
+/// larger universe, with a reason, before anything is allocated. 1 GiB
+/// admits T up to 11,585 for Djit+, FT and ST, 8,192 for SU, 6,688 for SO
+/// and 5,181 for TC.
 inline constexpr uint64_t MaxClockBytesPerEngine = uint64_t(1) << 30;
 
 /// Structured result of one detector lane over one session run.

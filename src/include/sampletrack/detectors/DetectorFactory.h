@@ -46,6 +46,10 @@ std::optional<EngineKind> parseEngineKind(const std::string &Name);
 /// All engines, in presentation order.
 std::vector<EngineKind> allEngineKinds();
 
+/// Bytes per component of the thread clocks a detector of kind \p K sizes
+/// when it is constructed: over T threads they take T * T times this.
+size_t clockBytesPerComponent(EngineKind K);
+
 /// Constructs a fresh detector of kind \p K over \p NumThreads threads.
 std::unique_ptr<Detector> createDetector(EngineKind K, size_t NumThreads);
 

@@ -50,6 +50,11 @@ public:
   /// are equal (zero).
   explicit OrderedList(size_t NumThreads) { reset(NumThreads); }
 
+  /// Bytes one component takes: its time and its two links.
+  static constexpr size_t componentBytes() {
+    return sizeof(ClockValue) + 2 * sizeof(ThreadId);
+  }
+
   /// Reinitializes to the bottom timestamp over \p NumThreads threads.
   void reset(size_t NumThreads) {
     Times.assign(NumThreads, 0);

@@ -54,6 +54,9 @@ public:
   /// Number of components.
   size_t size() const { return Nodes.size(); }
 
+  /// Bytes one component takes: one tree node.
+  static constexpr size_t componentBytes() { return sizeof(Node); }
+
   /// Owner thread (the tree root).
   ThreadId root() const { return Root; }
 

@@ -44,17 +44,23 @@ public:
   std::vector<Event>::const_iterator begin() const { return Events.begin(); }
   std::vector<Event>::const_iterator end() const { return Events.end(); }
 
-  /// Appends an event, growing the universes if the ids are new. The
-  /// target grows the universe its kind names; the updates select rather
-  /// than branch, since kinds interleave at random in real traces.
+  /// Appends an event, growing the universes if the ids are new. Inline:
+  /// the binary decoder calls it once per event.
   void append(const Event &E) {
-    bool ForkJoin = E.Kind == OpKind::Fork || E.Kind == OpKind::Join;
-    bool Access = isAccess(E.Kind);
-    size_t Tid1 = static_cast<size_t>(E.Tid) + 1;
-    size_t Target1 = static_cast<size_t>(E.Target) + 1;
-    NumThreads = std::max({NumThreads, Tid1, ForkJoin ? Target1 : 0});
-    NumVars = std::max(NumVars, Access ? Target1 : 0);
-    NumSyncs = std::max(NumSyncs, Access || ForkJoin ? 0 : Target1);
+    size_t NeededThreads = static_cast<size_t>(E.Tid) + 1;
+    if (E.Kind == OpKind::Fork || E.Kind == OpKind::Join)
+      NeededThreads =
+          std::max(NeededThreads, static_cast<size_t>(E.Target) + 1);
+    if (NeededThreads > NumThreads)
+      NumThreads = NeededThreads;
+
+    if (isAccess(E.Kind)) {
+      if (E.Target + 1 > NumVars)
+        NumVars = E.Target + 1;
+    } else if (E.Kind != OpKind::Fork && E.Kind != OpKind::Join) {
+      if (E.Target + 1 > NumSyncs)
+        NumSyncs = E.Target + 1;
+    }
     Events.push_back(E);
   }
 

@@ -9,8 +9,6 @@
 
 #include "sampletrack/support/ByteCodec.h"
 
-#include <algorithm>
-#include <array>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -204,20 +202,13 @@ size_t appendFrom(std::istream &Is, std::string &Buf, size_t Want) {
   return Got;
 }
 
-/// The header's universe sizes, indexed by \ref Universe.
-enum Universe : uint8_t { Vars, Syncs, Threads };
-using Universes = std::array<uint64_t, 3>;
-
-/// The universe each kind's target indexes, by \ref OpKind value.
-constexpr Universe TargetUniverse[] = {Vars,    Vars,  Syncs, Syncs, Threads,
-                                       Threads, Syncs, Syncs, Syncs};
-constexpr uint8_t MaxKind = static_cast<uint8_t>(OpKind::AcquireLoad);
-static_assert(std::size(TargetUniverse) == MaxKind + 1);
+/// The header's universe sizes.
+struct Universes {
+  uint64_t Threads = 0, Syncs = 0, Vars = 0;
+};
 
 /// Decodes one event and checks its ids against the header universes.
-/// Returns the error text, or null on success. The id checks are
-/// combined without short-circuiting: kinds and marks interleave at
-/// random in real traces, and a branch per kind would mispredict.
+/// Returns the error text, or null on success.
 const char *decodeEvent(ByteReader &R, const Universes &U, Event &Out) {
   uint8_t Tag;
   if (!R.getByte(Tag))
@@ -225,17 +216,21 @@ const char *decodeEvent(ByteReader &R, const Universes &U, Event &Out) {
   // Low 4 bits: kind; bit 4: marked.
   uint8_t Kind = Tag & 0x0f;
   bool Marked = (Tag & 0x10) != 0;
-  if (Kind > MaxKind)
+  if (Kind > static_cast<uint8_t>(OpKind::AcquireLoad))
     return "invalid event kind";
   uint64_t Tid, Target;
   if (!R.getVarint(Tid) || !R.getVarint(Target))
     return "truncated event";
   OpKind K = static_cast<OpKind>(Kind);
-  if (Marked & !isAccess(K))
+  if (Marked && !isAccess(K))
     return "marked non-access event";
   // Checked here, before any consumer indexes per-thread state with them:
   // a streamed batch reaches the detectors before the trace has ended.
-  if ((Tid >= U[Threads]) | (Target >= U[TargetUniverse[Kind]]))
+  bool TargetOk = isAccess(K) ? Target < U.Vars
+                  : (K == OpKind::Fork || K == OpKind::Join)
+                      ? Target < U.Threads
+                      : Target < U.Syncs;
+  if (Tid >= U.Threads || !TargetOk)
     return "binary trace header inconsistent with events";
   Out = Event(static_cast<ThreadId>(Tid), K, Target, Marked);
   return nullptr;
@@ -244,8 +239,8 @@ const char *decodeEvent(ByteReader &R, const Universes &U, Event &Out) {
 /// The header after the magic: three universe sizes and the event count.
 bool decodeHeader(ByteReader &R, Universes &U, uint64_t &Events,
                   std::string *Error) {
-  if (!R.getVarint(U[Threads]) || !R.getVarint(U[Syncs]) ||
-      !R.getVarint(U[Vars]) || !R.getVarint(Events))
+  if (!R.getVarint(U.Threads) || !R.getVarint(U.Syncs) ||
+      !R.getVarint(U.Vars) || !R.getVarint(Events))
     return support::fail(Error, "truncated binary trace header");
   return true;
 }
@@ -355,9 +350,9 @@ bool BinaryTraceReader::open(std::istream &Stream, std::string *Error) {
   if (!decodeHeader(R, U, NumEvents, Error))
     return false;
   Head = R.pos();
-  NumThreads = static_cast<size_t>(U[Threads]);
-  NumSyncs = static_cast<size_t>(U[Syncs]);
-  NumVars = static_cast<size_t>(U[Vars]);
+  NumThreads = static_cast<size_t>(U.Threads);
+  NumSyncs = static_cast<size_t>(U.Syncs);
+  NumVars = static_cast<size_t>(U.Vars);
   return true;
 }
 
@@ -368,10 +363,7 @@ bool BinaryTraceReader::read(std::vector<Event> &Out, size_t Max,
     return support::fail(Error, "reader not opened");
   if (Max == 0) // A while(!done()) loop would never end.
     return support::fail(Error, "zero batch size");
-  Universes U;
-  U[Threads] = NumThreads;
-  U[Syncs] = NumSyncs;
-  U[Vars] = NumVars;
+  Universes U{NumThreads, NumSyncs, NumVars};
   ByteReader R(std::string_view(Buf).substr(Head));
   while (Out.size() < Max && Position < NumEvents) {
     // Top up whenever the next event may straddle the buffer's end.

@@ -19,6 +19,8 @@
 #include "sampletrack/trace/TraceGen.h"
 #include "sampletrack/trace/TraceIO.h"
 
+#include "AllocCounter.h"
+
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -452,4 +454,60 @@ TEST(AnalysisSession, RefusesAThreadUniverseItsClocksCannotHold) {
   ASSERT_TRUE(Session.run(One, R, &Err)) << Err;
   EXPECT_EQ(R.EventsProcessed, 1u);
   EXPECT_EQ(R.Engines.size(), 2u);
+}
+
+TEST(AnalysisSession, ThreadCapHoldsEachEnginesClocksToTheLimit) {
+  // The largest universe each engine admits: floor(sqrt(limit / bytes per
+  // component)). One thread more is refused before anything is sized.
+  const std::pair<EngineKind, size_t> Largest[] = {
+      {EngineKind::Djit, 11585},
+      {EngineKind::FastTrack, 11585},
+      {EngineKind::SamplingNaive, 11585},
+      {EngineKind::SamplingU, 8192},
+      {EngineKind::SamplingO, 6688},
+      {EngineKind::SamplingONoEpochOpt, 6688},
+      {EngineKind::TreeClockFull, 5181},
+  };
+  ASSERT_EQ(std::size(Largest), allEngineKinds().size());
+  for (auto [K, T] : Largest) {
+    uint64_t Bytes = clockBytesPerComponent(K);
+    EXPECT_LE(T * T * Bytes, api::MaxClockBytesPerEngine) << engineKindName(K);
+    EXPECT_GT((T + 1) * (T + 1) * Bytes, api::MaxClockBytesPerEngine)
+        << engineKindName(K);
+    api::SessionConfig Cfg;
+    Cfg.Engines = {K};
+    api::AnalysisSession Session(Cfg);
+    std::string Err;
+    uint64_t Allocated =
+        bytesAllocatedBy([&] { EXPECT_FALSE(Session.begin(T + 1, &Err)); });
+    EXPECT_EQ(Err.find("thread universe of " + std::to_string(T + 1) +
+                       " threads refused"),
+              0u)
+        << engineKindName(K) << ": " << Err;
+    EXPECT_LT(Allocated, uint64_t(1) << 20) << engineKindName(K);
+  }
+
+  // The widest lane sets the bound: FT alone admits 6,689 threads, FT+SO
+  // does not.
+  api::SessionConfig Cfg;
+  Cfg.Engines = {EngineKind::FastTrack, EngineKind::SamplingO};
+  std::string Err;
+  EXPECT_FALSE(api::AnalysisSession(Cfg).begin(6689, &Err));
+  EXPECT_NE(Err.find("thread universe of 6689 threads refused"),
+            std::string::npos)
+      << Err;
+}
+
+TEST(AnalysisSession, ClockBytesPerComponentCountWhatEnginesAllocate) {
+  // The cap is only as good as these per-component sizes: each engine's
+  // construction over T threads must allocate at least T * T of them, and
+  // its thread clocks must be most of what it allocates.
+  constexpr size_t T = 256;
+  for (EngineKind K : allEngineKinds()) {
+    std::unique_ptr<Detector> D;
+    uint64_t Allocated = bytesAllocatedBy([&] { D = createDetector(K, T); });
+    uint64_t Clocks = T * T * clockBytesPerComponent(K);
+    EXPECT_GE(Allocated, Clocks) << engineKindName(K);
+    EXPECT_LT(Allocated, 2 * Clocks) << engineKindName(K);
+  }
 }

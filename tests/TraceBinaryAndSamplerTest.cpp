@@ -12,65 +12,16 @@
 #include "sampletrack/trace/TraceGen.h"
 #include "sampletrack/trace/TraceIO.h"
 
+#include "AllocCounter.h"
+
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
-#include <cstdlib>
-#include <new>
 #include <set>
 #include <sstream>
 
 using namespace sampletrack;
-
-//===----------------------------------------------------------------------===//
-// Allocation counting: global new/delete replacements so the decoders'
-// bound-before-allocating rule is checked, not assumed.
-//===----------------------------------------------------------------------===//
-
-static std::atomic<uint64_t> GAllocBytes{0};
-
-void *operator new(std::size_t Size) {
-  GAllocBytes.fetch_add(Size, std::memory_order_relaxed);
-  if (void *P = std::malloc(Size))
-    return P;
-  throw std::bad_alloc();
-}
-
-void *operator new[](std::size_t Size) {
-  GAllocBytes.fetch_add(Size, std::memory_order_relaxed);
-  if (void *P = std::malloc(Size))
-    return P;
-  throw std::bad_alloc();
-}
-
-// The nothrow forms too: the library may allocate through them and free
-// through the deletes below, so both ends must use malloc/free.
-void *operator new(std::size_t Size, const std::nothrow_t &) noexcept {
-  GAllocBytes.fetch_add(Size, std::memory_order_relaxed);
-  return std::malloc(Size);
-}
-
-void *operator new[](std::size_t Size, const std::nothrow_t &) noexcept {
-  GAllocBytes.fetch_add(Size, std::memory_order_relaxed);
-  return std::malloc(Size);
-}
-
-// Out of line: gcc 12 pairs an inlined new-expression with an inlined
-// free() and reports a mismatch that these replacements make on purpose.
-[[gnu::noinline]] static void release(void *P) { std::free(P); }
-
-void operator delete(void *P) noexcept { release(P); }
-void operator delete[](void *P) noexcept { release(P); }
-void operator delete(void *P, std::size_t) noexcept { release(P); }
-void operator delete[](void *P, std::size_t) noexcept { release(P); }
-void operator delete(void *P, const std::nothrow_t &) noexcept {
-  release(P);
-}
-void operator delete[](void *P, const std::nothrow_t &) noexcept {
-  release(P);
-}
 
 namespace {
 
@@ -421,23 +372,18 @@ TEST(BinaryTrace, HostileEventCountIsRefusedBeforeAllocating) {
   Hostile += Valid.substr(9);
 
   constexpr uint64_t Budget = 64 << 10;
-  auto BytesAllocatedBy = [](auto &&Fn) {
-    uint64_t Before = GAllocBytes.load(std::memory_order_relaxed);
-    Fn();
-    return GAllocBytes.load(std::memory_order_relaxed) - Before;
-  };
   Decoded D;
-  uint64_t Bytes = BytesAllocatedBy([&] { D = viaSpan(Hostile); });
+  uint64_t Bytes = bytesAllocatedBy([&] { D = viaSpan(Hostile); });
   EXPECT_FALSE(D.Ok);
   EXPECT_EQ(D.Err, "truncated binary trace body");
   EXPECT_LT(Bytes, Budget) << "span decode allocated " << Bytes;
 
-  Bytes = BytesAllocatedBy([&] { D = viaStream(Hostile); });
+  Bytes = bytesAllocatedBy([&] { D = viaStream(Hostile); });
   EXPECT_FALSE(D.Ok);
   EXPECT_EQ(D.Err, "truncated binary trace body");
   EXPECT_LT(Bytes, Budget) << "stream loader allocated " << Bytes;
 
-  Bytes = BytesAllocatedBy([&] { D = viaReader(Hostile); });
+  Bytes = bytesAllocatedBy([&] { D = viaReader(Hostile); });
   EXPECT_FALSE(D.Ok);
   EXPECT_EQ(D.Err, "truncated binary trace body");
   EXPECT_LT(Bytes, Budget) << "reader allocated " << Bytes;
@@ -458,6 +404,37 @@ TEST(BinaryTrace, RoundTripPreservesEverything) {
   EXPECT_EQ(T.numThreads(), Back.numThreads());
   EXPECT_EQ(T.numSyncs(), Back.numSyncs());
   EXPECT_EQ(T.numVars(), Back.numVars());
+}
+
+TEST(BinaryTrace, RejectsTruncatedAndCorruptInput) {
+  Trace T = sampleTrace(6);
+  std::stringstream SS(std::ios::in | std::ios::out | std::ios::binary);
+  writeTraceBinary(SS, T);
+  std::string Bytes = SS.str();
+
+  // Truncations at various points must fail cleanly.
+  for (size_t Cut : {6ul, 12ul, Bytes.size() / 2, Bytes.size() - 1}) {
+    std::stringstream Cutted(Bytes.substr(0, Cut),
+                             std::ios::in | std::ios::binary);
+    ASSERT_TRUE(sniffBinaryTrace(Cutted));
+    Trace Out;
+    EXPECT_FALSE(readTraceBinary(Cutted, Out)) << "cut at " << Cut;
+  }
+
+  // A corrupt kind nibble in the first event's tag must be rejected.
+  std::string Header = "STRC\x01";
+  for (uint64_t V : {uint64_t(T.numThreads()), uint64_t(T.numSyncs()),
+                     uint64_t(T.numVars()), uint64_t(T.size())})
+    support::putVarint(Header, V);
+  ASSERT_EQ(Bytes.substr(0, Header.size()), Header);
+  std::string Corrupt = Bytes;
+  Corrupt[Header.size()] = '\x0f';
+  std::stringstream CorruptSS(Corrupt, std::ios::in | std::ios::binary);
+  ASSERT_TRUE(sniffBinaryTrace(CorruptSS));
+  Trace Out;
+  std::string Err;
+  EXPECT_FALSE(readTraceBinary(CorruptSS, Out, &Err));
+  EXPECT_EQ(Err, "invalid event kind");
 }
 
 TEST(BinaryTrace, IsMuchSmallerThanText) {

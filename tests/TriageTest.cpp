@@ -21,68 +21,15 @@
 #include "sampletrack/triage/TriageStore.h"
 #include "sampletrack/triaged/Wire.h"
 
+#include "AllocCounter.h"
+
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdio>
-#include <cstdlib>
-#include <new>
 #include <unistd.h>
 
 using namespace sampletrack;
 using namespace sampletrack::triage;
-
-//===----------------------------------------------------------------------===//
-// Allocation counting: global new/delete replacements so the warm-sink
-// no-allocation contract and the decoders' bound-before-allocating rule
-// are verifiable, not aspirational.
-//===----------------------------------------------------------------------===//
-
-static std::atomic<uint64_t> GAllocCount{0};
-static std::atomic<uint64_t> GAllocBytes{0};
-
-static void countAlloc(std::size_t Size) {
-  GAllocCount.fetch_add(1, std::memory_order_relaxed);
-  GAllocBytes.fetch_add(Size, std::memory_order_relaxed);
-}
-
-void *operator new(std::size_t Size) {
-  countAlloc(Size);
-  if (void *P = std::malloc(Size))
-    return P;
-  throw std::bad_alloc();
-}
-
-void *operator new[](std::size_t Size) {
-  countAlloc(Size);
-  if (void *P = std::malloc(Size))
-    return P;
-  throw std::bad_alloc();
-}
-
-// The nothrow forms too: the library allocates through them (e.g.
-// std::stable_sort's temporary buffer) and frees through the deletes
-// above, so both ends must use malloc/free.
-void *operator new(std::size_t Size, const std::nothrow_t &) noexcept {
-  countAlloc(Size);
-  return std::malloc(Size);
-}
-
-void *operator new[](std::size_t Size, const std::nothrow_t &) noexcept {
-  countAlloc(Size);
-  return std::malloc(Size);
-}
-
-void operator delete(void *P) noexcept { std::free(P); }
-void operator delete[](void *P) noexcept { std::free(P); }
-void operator delete(void *P, std::size_t) noexcept { std::free(P); }
-void operator delete[](void *P, std::size_t) noexcept { std::free(P); }
-void operator delete(void *P, const std::nothrow_t &) noexcept {
-  std::free(P);
-}
-void operator delete[](void *P, const std::nothrow_t &) noexcept {
-  std::free(P);
-}
 
 namespace {
 
@@ -512,11 +459,6 @@ TEST(WarehouseCodec, HostileEntryCountsAreRejectedBeforeAllocating) {
   // left before it reserves anything for it.
   constexpr uint64_t Hostile = uint64_t(1) << 40;
   constexpr uint64_t Budget = 64 << 10;
-  auto BytesAllocatedBy = [](auto &&Fn) {
-    uint64_t Before = GAllocBytes.load(std::memory_order_relaxed);
-    Fn();
-    return GAllocBytes.load(std::memory_order_relaxed) - Before;
-  };
   std::string Err;
 
   // STSG upload: 16-byte header, then sigver u32, declared u64, dropped
@@ -527,7 +469,7 @@ TEST(WarehouseCodec, HostileEntryCountsAreRejectedBeforeAllocating) {
   Summary = refreshChecksum(Summary);
   TriageSummary Decoded;
   bool Ok = true;
-  uint64_t Bytes = BytesAllocatedBy(
+  uint64_t Bytes = bytesAllocatedBy(
       [&] { Ok = triaged::decodeSummary(Summary, Decoded, &Err); });
   EXPECT_FALSE(Ok);
   EXPECT_LT(Bytes, Budget) << "STSG decode allocated " << Bytes << " bytes";
@@ -540,7 +482,7 @@ TEST(WarehouseCodec, HostileEntryCountsAreRejectedBeforeAllocating) {
   putLeU64(Image, 16 + 8, Hostile);
   Image = refreshChecksum(Image);
   TriageStore Store;
-  Bytes = BytesAllocatedBy([&] { Ok = Store.deserialize(Image, &Err); });
+  Bytes = bytesAllocatedBy([&] { Ok = Store.deserialize(Image, &Err); });
   EXPECT_FALSE(Ok);
   EXPECT_LT(Bytes, Budget) << "STTS decode allocated " << Bytes << " bytes";
   EXPECT_NE(Err.find("truncated"), std::string::npos) << Err;
@@ -569,7 +511,7 @@ TEST(WarehouseCodec, HostileEntryCountsAreRejectedBeforeAllocating) {
     ASSERT_TRUE(support::writeAll(*F, Journal));
   }
   TriageLog Reopened;
-  Bytes = BytesAllocatedBy([&] { Ok = Reopened.open("store", Opts, &Err); });
+  Bytes = bytesAllocatedBy([&] { Ok = Reopened.open("store", Opts, &Err); });
   EXPECT_FALSE(Ok);
   EXPECT_LT(Bytes, Budget) << "STTJ replay allocated " << Bytes << " bytes";
   EXPECT_NE(Err.find("truncated"), std::string::npos) << Err;

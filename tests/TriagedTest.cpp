@@ -21,6 +21,7 @@
 #include "sampletrack/support/Common.h"
 #include "sampletrack/support/Json.h"
 #include "sampletrack/trace/TraceGen.h"
+#include "sampletrack/trace/TraceIO.h"
 #include "sampletrack/triage/Exporters.h"
 #include "sampletrack/triage/TriageLog.h"
 #include "sampletrack/triage/TriageStore.h"
@@ -40,6 +41,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <thread>
 
 using namespace sampletrack;
@@ -696,12 +698,26 @@ TEST(TriagedServer, RefusesAHostileThreadUniverseAndKeepsServing) {
             std::string::npos)
       << Resp.Body;
 
+  // The widest lane sets the bound: 6,689 threads fit FT's clocks in 1 GiB
+  // but not SO's, which take 24 bytes per component.
+  Trace JustOver;
+  JustOver.read(6688, 0);
+  std::ostringstream Bin(std::ios::binary);
+  writeTraceBinary(Bin, JustOver);
+  ASSERT_TRUE(C.post("/v1/runs", "application/x-sampletrack-upload",
+                     frame(WireContent::BinaryTrace, Bin.str()), Resp, &Err))
+      << Err;
+  EXPECT_EQ(Resp.Status, 422);
+  EXPECT_NE(Resp.Body.find("thread universe of 6689 threads refused"),
+            std::string::npos)
+      << Resp.Body;
+
   UploadOutcome Up;
   ASSERT_TRUE(C.uploadTrace(racyTrace(3), Up, &Err)) << Err;
   EXPECT_EQ(Up.Run, 1u);
   EXPECT_GT(Up.Declared, 0u);
   ServerStats St = S.stats();
-  EXPECT_EQ(St.UploadsRejected, 1u);
+  EXPECT_EQ(St.UploadsRejected, 2u);
   EXPECT_EQ(St.UploadsAccepted, 1u);
   S.stop();
 }
