@@ -137,12 +137,6 @@ int main(int argc, char **argv) {
     T = generateSuiteTrace(Bench, Scale, Seed);
   }
 
-  std::string Err;
-  if (!T.validate(&Err)) {
-    std::fprintf(stderr, "error: invalid trace: %s\n", Err.c_str());
-    return 1;
-  }
-
   // One pipeline: every engine lane shares the Bernoulli decision stream,
   // so the sample set is identical across engines by construction, and the
   // trace is traversed once no matter how many engines run.
@@ -151,6 +145,17 @@ int main(int argc, char **argv) {
   Cfg.Sampling = api::SamplerKind::Bernoulli;
   Cfg.SamplingRate = Rate;
   Cfg.Seed = Seed * 31 + 5;
+
+  // validate() sizes tables by the trace's universes, so they are held to
+  // the engines' limits first.
+  std::string Err;
+  if (!api::admitUniverse(Cfg, T.numThreads(), T.numSyncs(), T.numVars(),
+                          &Err) ||
+      !T.validate(&Err)) {
+    std::fprintf(stderr, "error: invalid trace: %s\n", Err.c_str());
+    return 1;
+  }
+
   api::SessionResult R;
   if (!api::AnalysisSession(Cfg).run(T, R, &Err)) {
     std::fprintf(stderr, "error: %s\n", Err.c_str());

@@ -228,7 +228,39 @@ AnalysisSession &AnalysisSession::withSampler(std::unique_ptr<Sampler> Sm) {
   return *this;
 }
 
-bool AnalysisSession::begin(size_t NumThreads, std::string *Error) {
+bool api::admitUniverse(const SessionConfig &Cfg, size_t Threads,
+                        size_t Syncs, size_t Vars, std::string *Error) {
+  auto Fail = [&](const std::string &Msg) {
+    if (Error)
+      *Error = Msg;
+    return false;
+  };
+  const std::string Limit = " more than " +
+                            std::to_string(MaxClockBytesPerEngine >> 20) +
+                            " MiB in one engine";
+  // The widest configured engine sets the bound; borrowed detectors were
+  // sized by their owner, and are held to the narrowest clocks.
+  uint64_t ComponentBytes = sizeof(ClockValue);
+  for (EngineKind K : Cfg.Engines)
+    ComponentBytes = std::max<uint64_t>(ComponentBytes,
+                                        clockBytesPerComponent(K));
+  uint64_t Components = 0;
+  if (__builtin_mul_overflow(uint64_t(Threads), uint64_t(Threads),
+                             &Components) ||
+      Components > MaxClockBytesPerEngine / ComponentBytes)
+    return Fail("thread universe of " + std::to_string(Threads) +
+                " threads refused: its thread clocks need" + Limit);
+  if (Syncs > MaxSyncsPerEngine)
+    return Fail("sync universe of " + std::to_string(Syncs) +
+                " sync objects refused: its sync table needs" + Limit);
+  if (Vars > MaxVarsPerEngine)
+    return Fail("variable universe of " + std::to_string(Vars) +
+                " variables refused: its access histories need" + Limit);
+  return true;
+}
+
+bool AnalysisSession::begin(size_t NumThreads, size_t NumSyncs,
+                            size_t NumVars, std::string *Error) {
   auto Fail = [&](const std::string &Msg) {
     if (Error)
       *Error = Msg;
@@ -243,20 +275,8 @@ bool AnalysisSession::begin(size_t NumThreads, std::string *Error) {
                               : (NumThreads ? NumThreads : Cfg.MaxThreads);
   if (!RunThreads)
     return Fail("thread universe size is zero");
-  // The widest configured engine sets the bound; borrowed detectors were
-  // sized by their owner, and are held to the narrowest clocks.
-  uint64_t ComponentBytes = sizeof(ClockValue);
-  for (EngineKind K : Cfg.Engines)
-    ComponentBytes = std::max<uint64_t>(ComponentBytes,
-                                        clockBytesPerComponent(K));
-  uint64_t Components = 0;
-  if (__builtin_mul_overflow(uint64_t(RunThreads), uint64_t(RunThreads),
-                             &Components) ||
-      Components > MaxClockBytesPerEngine / ComponentBytes)
-    return Fail("thread universe of " + std::to_string(RunThreads) +
-                " threads refused: its thread clocks need more than " +
-                std::to_string(MaxClockBytesPerEngine >> 20) +
-                " MiB in one engine");
+  if (!admitUniverse(Cfg, RunThreads, NumSyncs, NumVars, Error))
+    return false;
 
   Lanes.clear();
   // Fresh profiler per run: the previous run's timeline (if any) is owned
@@ -275,15 +295,12 @@ bool AnalysisSession::begin(size_t NumThreads, std::string *Error) {
   for (EngineKind K : Cfg.Engines) {
     Lane L;
     L.Owned = createDetector(K, RunThreads);
-    if (!Cfg.PoolingEnabled)
-      L.Owned->setPoolingEnabled(false);
     if (Cfg.TriageCapacity)
       L.Owned->setRaceCapacity(Cfg.TriageCapacity);
     L.D = L.Owned.get();
     Lanes.push_back(std::move(L));
   }
   for (Detector *D : BorrowedDetectors) {
-    // Borrowed detectors keep their owner's pooling configuration.
     Lane L;
     L.D = D;
     Lanes.push_back(std::move(L));
@@ -433,7 +450,7 @@ SessionResult AnalysisSession::finish() {
 
 bool AnalysisSession::run(const Trace &T, SessionResult &Out,
                           std::string *Error) {
-  if (!begin(T.numThreads(), Error))
+  if (!begin(T.numThreads(), T.numSyncs(), T.numVars(), Error))
     return false;
   StableSource = true; // T outlives the run; spans can cross the hand-off.
   const std::vector<Event> &Events = T.events();
@@ -457,7 +474,8 @@ bool AnalysisSession::run(std::istream &Is, SessionResult &Out,
     BinaryTraceReader Reader;
     if (!Reader.open(Is, Error))
       return false;
-    if (!begin(Reader.numThreads(), Error))
+    if (!begin(Reader.numThreads(), Reader.numSyncs(), Reader.numVars(),
+               Error))
       return false;
     std::vector<Event> Batch;
     while (!Reader.done()) {

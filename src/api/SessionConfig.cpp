@@ -50,7 +50,6 @@ rt::Config SessionConfig::runtimeConfig(rt::Mode M) const {
   C.SamplingRate = SamplingRate;
   C.Seed = Seed;
   C.MaxThreads = MaxThreads;
-  C.PoolingEnabled = PoolingEnabled;
   C.TriageCapacity = TriageCapacity;
   C.ProfilingEnabled = ProfilingEnabled;
   return C;

@@ -55,6 +55,13 @@ namespace api {
 /// and 5,181 for TC.
 inline constexpr uint64_t MaxClockBytesPerEngine = uint64_t(1) << 30;
 
+/// Largest sync-object and variable universes one engine lane may size its
+/// tables for: records of at most 128 bytes per sync object (SU's take
+/// 112) and 64 per variable (Djit+'s), in tables that grow by doubling to
+/// up to twice the universe, stay within \ref MaxClockBytesPerEngine.
+inline constexpr uint64_t MaxSyncsPerEngine = uint64_t(1) << 22;
+inline constexpr uint64_t MaxVarsPerEngine = uint64_t(1) << 23;
+
 /// Structured result of one detector lane over one session run.
 struct EngineRun {
   /// Engine name as used in the paper ("FT", "ST", ...).
@@ -129,6 +136,15 @@ struct SessionResult {
 /// any worker count — the determinism contract the tests enforce.
 SessionResult stripTiming(SessionResult R);
 
+/// Whether every engine lane \p Cfg configures can size its tables for
+/// \p Threads threads, \p Syncs sync objects and \p Vars variables within
+/// the limits above; if not, the reason goes to \p Error when nonnull.
+/// Allocates nothing. \ref AnalysisSession::begin runs it; so does a
+/// caller that sizes tables by a trace's universes itself, as
+/// Trace::validate does, before doing so.
+bool admitUniverse(const SessionConfig &Cfg, size_t Threads, size_t Syncs,
+                   size_t Vars, std::string *Error = nullptr);
+
 /// Builder-style analysis pipeline. Configure (engines, sampling), then
 /// either hand it a whole source (\ref run, \ref runFile) — one traversal,
 /// however many lanes — or drive it incrementally with
@@ -171,7 +187,13 @@ public:
   /// (the live-hook fallback). Fails if already active, if no lane is
   /// configured, or if the universe's clocks would exceed
   /// \ref MaxClockBytesPerEngine.
-  bool begin(size_t NumThreads = 0, std::string *Error = nullptr);
+  bool begin(size_t NumThreads = 0, std::string *Error = nullptr) {
+    return begin(NumThreads, 0, 0, Error);
+  }
+  /// As above, also holding the source's sync and variable universes (0
+  /// when unknown) to their limits; see \ref admitUniverse.
+  bool begin(size_t NumThreads, size_t NumSyncs, size_t NumVars,
+             std::string *Error = nullptr);
   bool active() const { return Active; }
   /// Thread-universe size of the active run (0 when inactive).
   size_t numThreads() const { return Active ? RunThreads : 0; }

@@ -8,10 +8,10 @@
 /// \file
 /// One configuration record for the analysis pipeline: engine set,
 /// sampling, ingestion and triage knobs, plus the ones an online Runtime
-/// shares with it (rate, seed, clock size, pooling, triage capacity,
-/// profiling), so an AnalysisSession, an online Runtime and a bench harness
-/// can all be driven from the same record. Knobs only the online runtime
-/// has (shadow table geometry, recording) stay on rt::Config.
+/// shares with it (rate, seed, clock size, triage capacity, profiling), so
+/// an AnalysisSession, an online Runtime and a bench harness can all be
+/// driven from the same record. Knobs only the online runtime has (shadow
+/// table geometry, recording) stay on rt::Config.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -77,14 +77,6 @@ struct SessionConfig {
   /// fall back to MaxThreads.
   size_t NumThreads = 0;
 
-  // -- Hot-path toggle --------------------------------------------------
-  /// Serve clock-snapshot buffers from the per-detector SnapshotPool (the
-  /// zero-allocation copy-on-write path). Off = plain heap allocation per
-  /// copy. Results are bit-identical either way; only Metrics::PoolHits
-  /// (and allocator traffic) moves. Also forwarded to the online runtime
-  /// via \ref runtimeConfig.
-  bool PoolingEnabled = true;
-
   // -- Race triage (the warehouse workflow) -----------------------------
   /// Distinct-signature capacity of every lane's race sink (0 = the
   /// detector default, ~1M). Duplicate declarations dedup and never
@@ -121,8 +113,8 @@ struct SessionConfig {
   std::unique_ptr<Sampler> makeSampler() const;
 
   /// Derives the rt::Runtime configuration for online mode \p M from the
-  /// shared knobs (rate, seed, clock size, pooling, triage capacity,
-  /// profiling); the runtime-only fields keep rt::Config's defaults.
+  /// shared knobs (rate, seed, clock size, triage capacity, profiling); the
+  /// runtime-only fields keep rt::Config's defaults.
   rt::Config runtimeConfig(rt::Mode M) const;
 };
 

@@ -68,11 +68,6 @@ public:
   virtual void processBatch(std::span<const Event> Events,
                             std::span<const uint8_t> Sampled) = 0;
 
-  /// Routes snapshot buffers through (or around) the engine's SnapshotPool.
-  /// Engines without pooled state ignore it. Call before the first event;
-  /// the differential harness runs pooled against unpooled lanes.
-  virtual void setPoolingEnabled(bool) {}
-
   size_t numThreads() const { return NumThreads; }
   const Metrics &metrics() const { return Stats; }
 

@@ -93,10 +93,7 @@ namespace sampletrack {
 namespace engine {
 
 /// The sync lock of single-threaded users (the offline detectors).
-struct NoLock {
-  void lock() {}
-  void unlock() {}
-};
+using sampletrack::NoLock;
 
 /// One variable's access histories (Cw_x and Cr_x, or FastTrack's W and R),
 /// in the representation the file comment describes. The record is 36
@@ -149,10 +146,11 @@ struct LocalEpoch {
 /// through own(), which re-owns it in place when every published reference
 /// has since been dropped (free), or by copying it into a SnapshotPool
 /// buffer when a sync object still holds the snapshot (a CowBreak; the pool
-/// recycles retired buffers so steady state allocates nothing).
-template <typename ClockT> class CowClock {
+/// recycles retired buffers so steady state allocates nothing). The pool is
+/// synchronized iff \p Concurrent, the owning core's policy.
+template <typename ClockT, bool Concurrent> class CowClock {
 public:
-  using Pool = SnapshotPool<ClockT>;
+  using Pool = SnapshotPool<ClockT, Concurrent>;
 
   /// Takes a buffer from \p P for a new thread and returns it for
   /// initialization.
@@ -665,13 +663,15 @@ private:
 /// converts the object to an owned blended vector clock (multi-source),
 /// processed without skips.
 template <typename LockT = NoLock> class SOCore {
+  /// Whether another thread may replace a sync object's snapshot once its
+  /// lock is released (then an acquire pins the snapshot it walks, and the
+  /// snapshot pool counts and recycles atomically).
+  static constexpr bool Concurrent = !std::is_same_v<LockT, NoLock>;
+  using ListPool = SnapshotPool<OrderedList, Concurrent>;
   /// Read-only view held by sync objects: published snapshots are
   /// immutable while shared, and this type makes that a compile error to
   /// violate.
-  using ListSnapshot = SnapshotPool<OrderedList>::ConstRef;
-  /// Whether another thread may replace a sync object's snapshot once its
-  /// lock is released (then an acquire pins the snapshot it walks).
-  static constexpr bool Concurrent = !std::is_same_v<LockT, NoLock>;
+  using ListSnapshot = typename ListPool::ConstRef;
 
 public:
   using Lock = LockT;
@@ -702,9 +702,6 @@ public:
   }
 
   size_t width() const { return Threads.size(); }
-
-  /// Routes copy-on-write buffers through (or around) the SnapshotPool.
-  void setPoolingEnabled(bool Enabled) { Pool.setEnabled(Enabled); }
 
   /// The thread's ordered list (tests inspect structure and sharing).
   const OrderedList &orderedList(ThreadId T) const { return *Threads[T].O; }
@@ -823,7 +820,7 @@ public:
 
 private:
   struct alignas(64) Thread : LocalEpoch {
-    CowClock<OrderedList> O;
+    CowClock<OrderedList, Concurrent> O;
     VectorClock U;
     /// The paper's C_t(t) (local time of the last sampled event). Under the
     /// local-epoch optimization this is authoritative and the list entry
@@ -950,7 +947,7 @@ private:
   bool LocalEpochOpt;
   /// Declared before the thread table: its outstanding references drain
   /// back into the pool on destruction.
-  SnapshotPool<OrderedList> Pool;
+  ListPool Pool;
   std::vector<Thread> Threads;
 };
 
@@ -976,6 +973,9 @@ private:
 /// A release-join falls back to a release (replacement), so TC is exact
 /// only on traces without release-joins.
 class TCCore {
+  /// Offline only (NoLock), so the pool is unsynchronized.
+  using TreePool = SnapshotPool<TreeClock, /*Concurrent=*/false>;
+
 public:
   using Lock = NoLock;
   static constexpr bool Sampling = true;
@@ -983,7 +983,7 @@ public:
 
   struct Sync {
     /// Published snapshot; immutable while shared (const-enforced).
-    SnapshotPool<TreeClock>::ConstRef Ref;
+    TreePool::ConstRef Ref;
   };
 
   explicit TCCore(size_t NumThreads) : Threads(NumThreads) {
@@ -996,8 +996,6 @@ public:
   }
 
   size_t width() const { return Threads.size(); }
-
-  void setPoolingEnabled(bool Enabled) { Pool.setEnabled(Enabled); }
 
   const TreeClock &threadClock(ThreadId T) const { return *Threads[T]; }
 
@@ -1065,8 +1063,8 @@ private:
 
   /// Declared before the thread table: its outstanding references drain
   /// back into the pool on destruction.
-  SnapshotPool<TreeClock> Pool;
-  std::vector<CowClock<TreeClock>> Threads;
+  TreePool Pool;
+  std::vector<CowClock<TreeClock, false>> Threads;
 };
 
 } // namespace engine

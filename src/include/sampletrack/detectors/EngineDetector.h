@@ -77,11 +77,6 @@ public:
     batchDispatch</*SkipUnsampled=*/Core::Sampling>(*this, Events, Sampled);
   }
 
-  void setPoolingEnabled(bool Enabled) override {
-    if constexpr (requires(Core &C) { C.setPoolingEnabled(Enabled); })
-      Core::setPoolingEnabled(Enabled);
-  }
-
 private:
   Core &core() { return *this; }
 

@@ -54,9 +54,9 @@ struct Metrics {
   /// break, so CowBreaks == DeepCopies there (uncontended re-owns are
   /// free, which is why DeepCopies drops versus the eager scheme).
   /// PoolHits counts buffer requests the pool's free list served without
-  /// touching the allocator — it is the only counter that moves when
-  /// pooling is toggled, and the differential harness zeroes it before
-  /// comparing pooled against unpooled runs.
+  /// touching the allocator. Each offline lane owns its pool, so PoolHits
+  /// is as deterministic as the other counters and the differential
+  /// harness compares it exactly across worker counts.
   uint64_t PoolHits = 0;
   uint64_t CowBreaks = 0;
 

@@ -110,12 +110,6 @@ struct Config {
   /// engines). Access events carry their sampling decision in the Marked
   /// bit, so an offline replay sees the identical sample set.
   bool RecordTrace = false;
-  /// Serve SO's copy-on-write ordered-list snapshots from a recycling
-  /// SnapshotPool instead of the allocator. Results are identical either
-  /// way; only the PoolHits metric (and allocator traffic) moves, and only
-  /// under SO. Shadow access histories are never pooled: each cell reuses
-  /// its own buffer in place.
-  bool PoolingEnabled = true;
   /// Distinct-signature capacity of each thread's race sink (0 = the
   /// default, 1<<16 per thread). Race declarations dedup into per-thread
   /// sinks lock-free; \ref Runtime::triageSummary merges the shards.

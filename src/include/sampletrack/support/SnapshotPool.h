@@ -23,10 +23,13 @@
 /// an owner whose publication has since been dropped by every reader can
 /// simply resume mutating in place — copy only when contended.
 ///
-/// Thread-safety: acquire/release are safe from any thread (the online
-/// Runtime drops snapshot references across threads); the buffers
-/// themselves follow the usual CoW discipline — immutable while shared,
-/// mutated only by their unique owner.
+/// Thread-safety is a compile-time property of the owner. A Concurrent
+/// pool counts references atomically and guards its free list with a
+/// mutex, so its references may be copied and dropped from any thread (the
+/// online Runtime drops snapshot references across threads). An offline
+/// engine is driven by one lane at a time, so its pool uses plain counts
+/// and an unguarded free list. Either way the buffers follow the usual CoW
+/// discipline: immutable while shared, mutated only by their unique owner.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -37,94 +40,99 @@
 #include <cassert>
 #include <cstdint>
 #include <mutex>
+#include <type_traits>
 #include <utility>
 
 namespace sampletrack {
 
-/// Free-list pool of intrusively refcounted \p T buffers.
+/// The lock of single-threaded users: an unsynchronized pool's free-list
+/// guard, and the sync lock of the offline engines.
+struct NoLock {
+  void lock() {}
+  void unlock() {}
+};
+
+/// An intrusive reference count: atomic when references cross threads, a
+/// plain word when one thread holds them all.
+template <bool Concurrent> class RefCount {
+public:
+  void inc() {
+    if constexpr (Concurrent)
+      N.fetch_add(1, std::memory_order_relaxed);
+    else
+      ++N;
+  }
+  /// Drops one reference; true if it was the last.
+  bool dec() {
+    if constexpr (Concurrent)
+      return N.fetch_sub(1, std::memory_order_acq_rel) == 1;
+    else
+      return --N == 0;
+  }
+  uint64_t load() const {
+    if constexpr (Concurrent)
+      return N.load(std::memory_order_acquire);
+    else
+      return N;
+  }
+
+private:
+  std::conditional_t<Concurrent, std::atomic<uint64_t>, uint64_t> N{0};
+};
+
+/// Free-list pool of intrusively refcounted \p T buffers, synchronized iff
+/// \p Concurrent.
 ///
 /// \p T must be default-constructible; recycled buffers keep their previous
 /// contents (that is the point — their heap capacity is the asset), so the
 /// caller re-initializes or copy-assigns over them after \ref acquire.
-template <typename T> class SnapshotPool {
+template <typename T, bool Concurrent> class SnapshotPool {
+  using Mutex = std::conditional_t<Concurrent, std::mutex, NoLock>;
   struct Core;
   struct Node {
     T Value;
-    /// Intrusive reference count: no control-block allocation per snapshot,
-    /// unlike std::shared_ptr with a custom deleter.
-    std::atomic<uint64_t> Refs{0};
+    /// No control-block allocation per snapshot, unlike std::shared_ptr
+    /// with a custom deleter.
+    RefCount<Concurrent> Refs;
     Core *C = nullptr;
     Node *NextFree = nullptr;
   };
 
+  /// The pool's state, on the heap so that the destructor can leak it
+  /// whole if a Ref is still out (see ~SnapshotPool).
   struct Core {
-    std::mutex M;
+    Mutex M;
     Node *FreeHead = nullptr;
     size_t FreeCount = 0;
-    bool Dying = false;
-    bool Enabled = true;
     uint64_t Hits = 0;
     uint64_t Misses = 0;
-    /// One reference per live Node plus one for the pool object itself;
-    /// whoever drops the last one frees the Core. This lets outstanding
-    /// Refs outlive the pool (they fall back to plain deletion).
-    std::atomic<uint64_t> CoreRefs{1};
   };
 
-  static void dropCore(Core *C) {
-    if (C->CoreRefs.fetch_sub(1, std::memory_order_acq_rel) == 1)
-      delete C;
-  }
-
   static void releaseNode(Node *N) {
-    if (N->Refs.fetch_sub(1, std::memory_order_acq_rel) != 1)
+    if (!N->Refs.dec())
       return;
     Core *C = N->C;
-    bool Recycled = false;
-    {
-      std::lock_guard<std::mutex> G(C->M);
-      if (!C->Dying && C->Enabled) {
-        N->NextFree = C->FreeHead;
-        C->FreeHead = N;
-        ++C->FreeCount;
-        Recycled = true;
-      }
-    }
-    if (!Recycled) {
-      delete N;
-      dropCore(C);
-    }
+    std::lock_guard<Mutex> G(C->M);
+    N->NextFree = C->FreeHead;
+    C->FreeHead = N;
+    ++C->FreeCount;
   }
 
 public:
   /// A shared reference to a pooled buffer. Pointer-sized; copying bumps
   /// the intrusive refcount. When the last Ref drops, the buffer returns
-  /// to its pool's free list (or is deleted if the pool is gone).
+  /// to its pool's free list.
   class Ref {
   public:
     Ref() = default;
     Ref(const Ref &O) : N(O.N) {
       if (N)
-        N->Refs.fetch_add(1, std::memory_order_relaxed);
+        N->Refs.inc();
     }
     Ref(Ref &&O) noexcept : N(O.N) { O.N = nullptr; }
-    Ref &operator=(const Ref &O) {
-      if (O.N)
-        O.N->Refs.fetch_add(1, std::memory_order_relaxed);
-      Node *Old = N;
-      N = O.N;
-      if (Old)
-        releaseNode(Old);
-      return *this;
-    }
-    Ref &operator=(Ref &&O) noexcept {
-      if (this != &O) {
-        Node *Old = N;
-        N = O.N;
-        O.N = nullptr;
-        if (Old)
-          releaseNode(Old);
-      }
+    /// Copy or move assignment: \p O's destructor drops the old buffer.
+    Ref &operator=(Ref O) noexcept {
+      std::swap(N, O.N);
       return *this;
     }
     ~Ref() { reset(); }
@@ -143,14 +151,11 @@ public:
 
     /// True iff this is the only reference — the owner may mutate in place
     /// (the lazy-CoW check: no reader holds the published snapshot).
-    bool unique() const {
-      return N && N->Refs.load(std::memory_order_acquire) == 1;
-    }
+    bool unique() const { return N && N->Refs.load() == 1; }
 
     /// Identity comparison (same buffer, not same contents); tests use it
     /// to check snapshot sharing and recycling.
     bool operator==(const Ref &O) const { return N == O.N; }
-    bool operator!=(const Ref &O) const { return N != O.N; }
 
   private:
     friend class SnapshotPool;
@@ -189,33 +194,33 @@ public:
   SnapshotPool(const SnapshotPool &) = delete;
   SnapshotPool &operator=(const SnapshotPool &) = delete;
 
+  /// Frees every buffer. Each buffer ever allocated is a miss, and every
+  /// one is back on the free list once its owner has dropped its Refs, as
+  /// every owner does before its pool dies. If a Ref is still out, freeing
+  /// would leave it pointing at freed memory, so the pool's state is leaked
+  /// instead (LeakSanitizer reports it), in release builds too.
   ~SnapshotPool() {
-    Node *Head;
-    {
-      std::lock_guard<std::mutex> G(C->M);
-      C->Dying = true;
-      Head = C->FreeHead;
-      C->FreeHead = nullptr;
-      C->FreeCount = 0;
-    }
-    while (Head) {
-      Node *N = Head;
-      Head = N->NextFree;
+    bool RefsOut = misses() != freeCount();
+    assert(!RefsOut && "a Ref outlives its SnapshotPool");
+    if (RefsOut)
+      return;
+    while (Node *N = C->FreeHead) {
+      C->FreeHead = N->NextFree;
       delete N;
-      dropCore(C);
     }
-    dropCore(C); // The pool's own Core reference.
+    delete C;
   }
 
-  /// Returns a buffer with refcount 1. Served from the free list when
-  /// possible (\p Reused set true — a PoolHit; the contents are stale and
-  /// must be overwritten), else freshly allocated (\p Reused false).
+  /// Returns a buffer with refcount 1 (a parked buffer's count is 0).
+  /// Served from the free list when possible (\p Reused set true — a
+  /// PoolHit; the contents are stale and must be overwritten), else freshly
+  /// allocated (\p Reused false).
   Ref acquire(bool *Reused = nullptr) {
-    Node *N = nullptr;
+    Node *N;
     {
-      std::lock_guard<std::mutex> G(C->M);
-      if (C->Enabled && C->FreeHead) {
-        N = C->FreeHead;
+      std::lock_guard<Mutex> G(C->M);
+      N = C->FreeHead;
+      if (N) {
         C->FreeHead = N->NextFree;
         --C->FreeCount;
         ++C->Hits;
@@ -226,55 +231,26 @@ public:
     if (Reused)
       *Reused = N != nullptr;
     if (!N) {
-      C->CoreRefs.fetch_add(1, std::memory_order_relaxed);
       N = new Node;
       N->C = C;
     }
-    N->NextFree = nullptr;
-    N->Refs.store(1, std::memory_order_relaxed);
+    N->Refs.inc();
     return Ref(N);
-  }
-
-  /// Disables (or re-enables) recycling: disabled, every acquire allocates
-  /// and every final release deletes — the unpooled reference behavior the
-  /// differential harness compares against. Disabling drains the free list.
-  void setEnabled(bool Enabled) {
-    Node *Head = nullptr;
-    {
-      std::lock_guard<std::mutex> G(C->M);
-      C->Enabled = Enabled;
-      if (!Enabled) {
-        Head = C->FreeHead;
-        C->FreeHead = nullptr;
-        C->FreeCount = 0;
-      }
-    }
-    while (Head) {
-      Node *N = Head;
-      Head = N->NextFree;
-      delete N;
-      dropCore(C);
-    }
-  }
-
-  bool enabled() const {
-    std::lock_guard<std::mutex> G(C->M);
-    return C->Enabled;
   }
 
   /// Buffers currently parked on the free list.
   size_t freeCount() const {
-    std::lock_guard<std::mutex> G(C->M);
+    std::lock_guard<Mutex> G(C->M);
     return C->FreeCount;
   }
 
   /// Acquires served by the free list / by the allocator.
   uint64_t hits() const {
-    std::lock_guard<std::mutex> G(C->M);
+    std::lock_guard<Mutex> G(C->M);
     return C->Hits;
   }
   uint64_t misses() const {
-    std::lock_guard<std::mutex> G(C->M);
+    std::lock_guard<Mutex> G(C->M);
     return C->Misses;
   }
 

@@ -17,11 +17,10 @@
 ///    of the access the race was declared at, and the *role* of the
 ///    declaring thread (main thread vs worker) — never from the stream
 ///    position, the raw thread id, or any engine state.
-///  - It is therefore invariant under SessionConfig::NumWorkers and
-///    PoolingEnabled (both axes are bit-identical by construction),
-///    under engine choice (every engine declares races with
-///    the event's own thread/var/kind), and under worker-thread renumbering
-///    in symmetric workloads — the duplicate flood a fleet produces differs
+///  - It is therefore invariant under SessionConfig::NumWorkers (that axis
+///    is bit-identical by construction), under engine choice (every engine
+///    declares races with the event's own thread/var/kind), and under
+///    worker-thread renumbering in symmetric workloads — the duplicate flood a fleet produces differs
 ///    only in thread ids and positions, which the signature ignores.
 ///  - Golden values are pinned by tests/TriageTest.cpp; changing the mixing
 ///    function is a format break and must bump Version (persisted stores

@@ -389,10 +389,7 @@ template <typename Core> class RuntimeImpl final : public RuntimeBase {
 public:
   explicit RuntimeImpl(const Config &C)
       : RuntimeBase(C, C.ShadowCells), Engine(C.MaxThreads),
-        Syncs(MaxSyncs) {
-    if constexpr (requires(Core &E) { E.setPoolingEnabled(true); })
-      Engine.setPoolingEnabled(C.PoolingEnabled);
-  }
+        Syncs(MaxSyncs) {}
 
   void onRead(ThreadId T, uint64_t Addr) override {
     check<OpKind::Read>(T, Addr);

@@ -456,6 +456,91 @@ TEST(AnalysisSession, RefusesAThreadUniverseItsClocksCannotHold) {
   EXPECT_EQ(R.Engines.size(), 2u);
 }
 
+TEST(AnalysisSession, RefusesSyncAndVariableUniversesItsTablesCannotHold) {
+  // A two-line text trace on lock 4,000,000,000 once made the sync table
+  // grow to 4e9 records and died of std::bad_alloc; so did a binary trace
+  // whose header declares 4e9 + 1 syncs. begin() now refuses both, with a
+  // reason, before any table is sized.
+  api::SessionConfig Cfg;
+  Cfg.Engines = {EngineKind::FastTrack, EngineKind::SamplingO};
+  const std::string SyncReason =
+      "sync universe of 4000000001 sync objects refused";
+  const std::string FarLockText = "T0|acq(L4000000000)\nT0|rel(L4000000000)\n";
+  Trace FarLock;
+  FarLock.acquire(0, 4000000000u);
+  FarLock.release(0, 4000000000u);
+  std::ostringstream Os(std::ios::binary);
+  writeTraceBinary(Os, FarLock);
+  const std::string FarLockBin = Os.str();
+  ASSERT_EQ(FarLock.numSyncs(), 4000000001u);
+
+  api::AnalysisSession Session(Cfg);
+  api::SessionResult R;
+  std::string Err;
+  for (const std::string *Bytes : {&FarLockText, &FarLockBin}) {
+    std::istringstream Is(*Bytes);
+    uint64_t Allocated =
+        bytesAllocatedBy([&] { EXPECT_FALSE(Session.run(Is, R, &Err)); });
+    EXPECT_NE(Err.find(SyncReason), std::string::npos) << Err;
+    EXPECT_LT(Allocated, uint64_t(1) << 20);
+  }
+  Trace Loaded;
+  ASSERT_TRUE(readTraceBinary(FarLockBin, Loaded, &Err)) << Err;
+  EXPECT_FALSE(Session.run(Loaded, R, &Err));
+  EXPECT_NE(Err.find(SyncReason), std::string::npos) << Err;
+  EXPECT_TRUE(Session.run(Loaded).Engines.empty());
+
+  Trace FarVar;
+  FarVar.write(0, 9000000000u, /*Marked=*/true);
+  EXPECT_FALSE(Session.run(FarVar, R, &Err));
+  EXPECT_NE(Err.find("variable universe of 9000000001 variables refused"),
+            std::string::npos)
+      << Err;
+
+  // The largest admitted universes pass, and the session stays usable.
+  EXPECT_TRUE(api::admitUniverse(Cfg, 1, api::MaxSyncsPerEngine,
+                                 api::MaxVarsPerEngine, &Err))
+      << Err;
+  EXPECT_FALSE(api::admitUniverse(Cfg, 1, api::MaxSyncsPerEngine + 1, 1));
+  EXPECT_FALSE(api::admitUniverse(Cfg, 1, 1, api::MaxVarsPerEngine + 1));
+  Trace Near;
+  Near.acquire(0, 7);
+  Near.write(0, 11, /*Marked=*/true);
+  Near.release(0, 7);
+  ASSERT_TRUE(Session.run(Near, R, &Err)) << Err;
+  EXPECT_EQ(R.EventsProcessed, 3u);
+}
+
+TEST(AnalysisSession, TableLimitsCountWhatEnginesAllocate) {
+  // The sync and variable limits assume at most MaxClockBytesPerEngine / 2
+  // / limit bytes per record (the tables double as they grow, so they may
+  // hold twice the universe). Each engine's handlers, taking one lock id or
+  // one variable id N - 1 on a fresh detector, size a table of exactly N
+  // records, so they must allocate at most N such records, plus the few
+  // words one clock over one thread takes.
+  constexpr uint32_t N = 4096;
+  const uint64_t SyncRecord =
+      api::MaxClockBytesPerEngine / 2 / api::MaxSyncsPerEngine;
+  const uint64_t VarRecord =
+      api::MaxClockBytesPerEngine / 2 / api::MaxVarsPerEngine;
+  Trace FarLock, FarVar;
+  FarLock.acquire(0, N - 1);
+  FarLock.release(0, N - 1);
+  FarVar.write(0, N - 1, /*Marked=*/true);
+  const std::vector<uint8_t> Sampled(2, 1);
+  for (EngineKind K : allEngineKinds()) {
+    for (auto [T, Record] : {std::pair<const Trace *, uint64_t>{&FarLock,
+                                                                 SyncRecord},
+                             {&FarVar, VarRecord}}) {
+      std::unique_ptr<Detector> D = createDetector(K, 1);
+      uint64_t Allocated = bytesAllocatedBy([&] {
+        D->processBatch(T->events(), std::span(Sampled).first(T->size()));
+      });
+      EXPECT_LE(Allocated, N * Record + 256) << engineKindName(K);
+    }
+  }
+}
+
 TEST(AnalysisSession, ThreadCapHoldsEachEnginesClocksToTheLimit) {
   // The largest universe each engine admits: floor(sqrt(limit / bytes per
   // component)). One thread more is refused before anything is sized.

@@ -205,14 +205,6 @@ void randomMark(Trace &T, SplitMix64 &Rng) {
       T[I].Marked = S->shouldSample(T[I]);
 }
 
-/// Zeroes the one counter pooling legitimately moves (free-list hits), so
-/// pooled and unpooled results can be compared bit-for-bit otherwise.
-api::SessionResult stripPoolHits(api::SessionResult R) {
-  for (api::EngineRun &E : R.Engines)
-    E.Stats.PoolHits = 0;
-  return R;
-}
-
 std::vector<size_t> declared(const Trace &T, EngineKind K) {
   std::unique_ptr<Detector> D = createDetector(K, T.numThreads());
   MarkedSampler S;
@@ -323,14 +315,14 @@ TEST(DifferentialFuzz, FullEnginesMatchOracleOnRandomCases) {
 //===----------------------------------------------------------------------===//
 
 //===----------------------------------------------------------------------===//
-// Hot-path axes: the pooled copy-on-write allocator and the parallel lane
-// workers must be invisible — every engine, at every sampling rate, batch
-// geometry and worker count, must produce the result of the sequential
-// unpooled reference session, bit-for-bit (modulo timing and PoolHits,
-// the free-list-vs-allocator counter).
+// The worker axis: the parallel lane workers must be invisible — every
+// engine, at every sampling rate, batch geometry and worker count, must
+// produce the result of the sequential reference session, bit-for-bit
+// (modulo timing). That includes PoolHits: each lane owns its snapshot
+// pool, so its free-list hits depend only on the lane's events.
 //===----------------------------------------------------------------------===//
 
-TEST(DifferentialFuzz, PooledAndParallelPathsMatchSequentialUnpooled) {
+TEST(DifferentialFuzz, ParallelPathsMatchSequential) {
   SplitMix64 Rng(31415926535ull);
   const std::vector<EngineKind> Kinds = allEngineKinds();
   const double Rates[] = {0.003, 0.03, 1.0};
@@ -347,62 +339,49 @@ TEST(DifferentialFuzz, PooledAndParallelPathsMatchSequentialUnpooled) {
     Base.Seed = Rng.next();
     Base.BatchSize = 1 + Rng.nextBelow(300);
 
-    // Reference: sequential, pooling off.
-    api::SessionConfig RefCfg = Base;
-    RefCfg.PoolingEnabled = false;
-    api::SessionResult Ref =
-        stripPoolHits(api::stripTiming(api::AnalysisSession(RefCfg).run(T)));
+    // Reference: sequential.
+    api::SessionResult Ref = api::stripTiming(api::AnalysisSession(Base).run(T));
     ASSERT_EQ(Ref.Engines.size(), Kinds.size()) << "case " << Case;
 
     for (size_t W : WorkerAxis) {
-      for (bool Pooling : {true, false}) {
-        const char *Name = Pooling ? "pooled" : "unpooled";
-        api::SessionConfig Cfg = Base;
-        Cfg.PoolingEnabled = Pooling;
-        Cfg.NumWorkers = W;
-        api::SessionResult R = stripPoolHits(
-            api::stripTiming(api::AnalysisSession(Cfg).run(T)));
-        // Lane-by-lane first (readable failures), then the whole result.
-        ASSERT_EQ(R.Engines.size(), Ref.Engines.size());
-        for (size_t I = 0; I < R.Engines.size(); ++I) {
-          SCOPED_TRACE(std::string(Name) + ", workers=" +
-                       std::to_string(W) + ", " +
-                       std::string(engineKindName(Kinds[I])) + ", case " +
-                       std::to_string(Case));
-          EXPECT_EQ(R.Engines[I].Races, Ref.Engines[I].Races);
-          EXPECT_EQ(R.Engines[I].Stats, Ref.Engines[I].Stats);
-          EXPECT_EQ(R.Engines[I].RacesTruncated,
-                    Ref.Engines[I].RacesTruncated);
-        }
-        // The triage axis: the deduplicated signature set (and its hit
-        // counts) must be bit-identical across every worker count and
-        // pooling mode — the warehouse's stability contract.
-        ASSERT_EQ(R.Triage.Entries.size(), Ref.Triage.Entries.size())
-            << Name << ", workers=" << W << ", case " << Case;
-        for (size_t I = 0; I < R.Triage.Entries.size(); ++I)
-          EXPECT_TRUE(R.Triage.Entries[I] == Ref.Triage.Entries[I])
-              << Name << ", workers=" << W << ", case " << Case
-              << ": triage entry " << I
-              << " diverged (signature "
-              << triage::RaceSignature{R.Triage.Entries[I].Signature}.hex()
-              << " vs "
-              << triage::RaceSignature{Ref.Triage.Entries[I].Signature}.hex()
-              << ")";
-        EXPECT_TRUE(R == Ref) << Name << ", workers=" << W
-                              << ", case " << Case;
+      api::SessionConfig Cfg = Base;
+      Cfg.NumWorkers = W;
+      api::SessionResult R = api::stripTiming(api::AnalysisSession(Cfg).run(T));
+      // Lane-by-lane first (readable failures), then the whole result.
+      ASSERT_EQ(R.Engines.size(), Ref.Engines.size());
+      for (size_t I = 0; I < R.Engines.size(); ++I) {
+        SCOPED_TRACE("workers=" + std::to_string(W) + ", " +
+                     std::string(engineKindName(Kinds[I])) + ", case " +
+                     std::to_string(Case));
+        EXPECT_EQ(R.Engines[I].Races, Ref.Engines[I].Races);
+        EXPECT_EQ(R.Engines[I].Stats, Ref.Engines[I].Stats);
+        EXPECT_EQ(R.Engines[I].RacesTruncated, Ref.Engines[I].RacesTruncated);
       }
+      // The triage axis: the deduplicated signature set (and its hit
+      // counts) must be bit-identical across every worker count — the
+      // warehouse's stability contract.
+      ASSERT_EQ(R.Triage.Entries.size(), Ref.Triage.Entries.size())
+          << "workers=" << W << ", case " << Case;
+      for (size_t I = 0; I < R.Triage.Entries.size(); ++I)
+        EXPECT_TRUE(R.Triage.Entries[I] == Ref.Triage.Entries[I])
+            << "workers=" << W << ", case " << Case << ": triage entry " << I
+            << " diverged (signature "
+            << triage::RaceSignature{R.Triage.Entries[I].Signature}.hex()
+            << " vs "
+            << triage::RaceSignature{Ref.Triage.Entries[I].Signature}.hex()
+            << ")";
+      EXPECT_TRUE(R == Ref) << "workers=" << W << ", case " << Case;
     }
   }
 }
 
 //===----------------------------------------------------------------------===//
 // The schedule axis: every interleaving the explorer emits is just a trace,
-// so the whole hot-path matrix (pooling x workers) must stay
-// bit-identical on *re-scheduled* executions too, not only on the original
-// interleavings the generators produce.
+// so the worker axis must stay bit-identical on *re-scheduled* executions
+// too, not only on the original interleavings the generators produce.
 //===----------------------------------------------------------------------===//
 
-TEST(DifferentialFuzz, ExploredSchedulesReplayBitIdenticalAcrossHotPathAxes) {
+TEST(DifferentialFuzz, ExploredSchedulesReplayBitIdenticalAcrossWorkerCounts) {
   SplitMix64 Rng(271828182845ull);
   const std::vector<EngineKind> Kinds = allEngineKinds();
   const double Rates[] = {0.003, 0.03, 1.0};
@@ -434,23 +413,16 @@ TEST(DifferentialFuzz, ExploredSchedulesReplayBitIdenticalAcrossHotPathAxes) {
       Base.Seed = Rng.next();
       Base.BatchSize = 1 + Rng.nextBelow(300);
 
-      api::SessionConfig RefCfg = Base;
-      RefCfg.PoolingEnabled = false;
-      api::SessionResult Ref = stripPoolHits(
-          api::stripTiming(api::AnalysisSession(RefCfg).run(T)));
+      api::SessionResult Ref =
+          api::stripTiming(api::AnalysisSession(Base).run(T));
 
       for (size_t Workers : WorkerAxis) {
-        for (bool Pooling : {true, false}) {
-          api::SessionConfig Cfg = Base;
-          Cfg.PoolingEnabled = Pooling;
-          Cfg.NumWorkers = Workers;
-          api::SessionResult R = stripPoolHits(
-              api::stripTiming(api::AnalysisSession(Cfg).run(T)));
-          EXPECT_TRUE(R == Ref)
-              << "case " << Case << ", schedule " << Sch.Index
-              << ", workers=" << Workers
-              << (Pooling ? ", pooled" : ", unpooled");
-        }
+        api::SessionConfig Cfg = Base;
+        Cfg.NumWorkers = Workers;
+        api::SessionResult R =
+            api::stripTiming(api::AnalysisSession(Cfg).run(T));
+        EXPECT_TRUE(R == Ref) << "case " << Case << ", schedule " << Sch.Index
+                              << ", workers=" << Workers;
       }
     }
   }

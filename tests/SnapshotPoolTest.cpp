@@ -6,11 +6,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Unit tests for SnapshotPool: refcount semantics, free-list recycling,
-/// the lazy-CoW unique() contract, pool death with outstanding references,
-/// cross-thread release safety, and the detector-level integration (pooled
-/// and unpooled runs bit-identical modulo PoolHits; recycling actually
-/// observed on CoW-heavy traces).
+/// Unit tests for SnapshotPool under both synchronization policies:
+/// refcount semantics, free-list recycling, the lazy-CoW unique() contract
+/// and the destructor's all-buffers-parked check; cross-thread release
+/// safety of the concurrent pool; and the detector-level integration
+/// (recycling actually observed on CoW-heavy traces).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,14 +22,25 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <thread>
 #include <vector>
 
 using namespace sampletrack;
 
-TEST(SnapshotPool, AcquireStartsUniqueAndMisses) {
-  SnapshotPool<VectorClock> P;
+namespace {
+
+/// The unit cases run under both policies: plain counts (the offline
+/// engines) and atomic counts with a mutex-guarded free list (the online
+/// runtime).
+template <typename PoolT> class SnapshotPoolTest : public ::testing::Test {};
+using Pools = ::testing::Types<SnapshotPool<VectorClock, /*Concurrent=*/false>,
+                               SnapshotPool<VectorClock, /*Concurrent=*/true>>;
+TYPED_TEST_SUITE(SnapshotPoolTest, Pools);
+
+} // namespace
+
+TYPED_TEST(SnapshotPoolTest, AcquireStartsUniqueAndMisses) {
+  TypeParam P;
   bool Reused = true;
   auto R = P.acquire(&Reused);
   EXPECT_FALSE(Reused) << "empty pool cannot serve from the free list";
@@ -40,8 +51,8 @@ TEST(SnapshotPool, AcquireStartsUniqueAndMisses) {
   EXPECT_EQ(P.freeCount(), 0u);
 }
 
-TEST(SnapshotPool, LastReleaseRecyclesAndNextAcquireReuses) {
-  SnapshotPool<VectorClock> P;
+TYPED_TEST(SnapshotPoolTest, LastReleaseRecyclesAndNextAcquireReuses) {
+  TypeParam P;
   auto R = P.acquire();
   R->resize(4);
   R->set(2, 42);
@@ -58,8 +69,8 @@ TEST(SnapshotPool, LastReleaseRecyclesAndNextAcquireReuses) {
   EXPECT_EQ(P.freeCount(), 0u);
 }
 
-TEST(SnapshotPool, UniqueTracksReferenceCount) {
-  SnapshotPool<VectorClock> P;
+TYPED_TEST(SnapshotPoolTest, UniqueTracksReferenceCount) {
+  TypeParam P;
   auto Owner = P.acquire();
   EXPECT_TRUE(Owner.unique());
   {
@@ -73,8 +84,8 @@ TEST(SnapshotPool, UniqueTracksReferenceCount) {
   EXPECT_EQ(P.freeCount(), 0u) << "buffer still referenced, not recycled";
 }
 
-TEST(SnapshotPool, CopyAndMoveSemantics) {
-  SnapshotPool<VectorClock> P;
+TYPED_TEST(SnapshotPoolTest, CopyAndMoveSemantics) {
+  TypeParam P;
   auto A = P.acquire();
   auto B = A;
   auto C = std::move(A);
@@ -89,50 +100,31 @@ TEST(SnapshotPool, CopyAndMoveSemantics) {
   EXPECT_EQ(P.freeCount(), 1u);
 }
 
-TEST(SnapshotPool, DisabledPoolNeverReuses) {
-  SnapshotPool<VectorClock> P;
-  P.setEnabled(false);
-  auto R = P.acquire();
-  R.reset();
-  EXPECT_EQ(P.freeCount(), 0u) << "disabled pool deletes instead of parking";
-  bool Reused = true;
-  auto R2 = P.acquire(&Reused);
-  EXPECT_FALSE(Reused);
-  EXPECT_EQ(P.hits(), 0u);
-}
-
-TEST(SnapshotPool, DisablingDrainsTheFreeList) {
-  SnapshotPool<VectorClock> P;
-  auto A = P.acquire();
-  auto B = P.acquire();
-  A.reset();
-  B.reset();
-  EXPECT_EQ(P.freeCount(), 2u);
-  P.setEnabled(false);
-  EXPECT_EQ(P.freeCount(), 0u);
-}
-
-TEST(SnapshotPool, OutstandingRefsSurviveThePool) {
-  SnapshotPool<VectorClock>::Ref Survivor;
+TYPED_TEST(SnapshotPoolTest, EveryBufferIsBackOnTheFreeListOnceRefsDrop) {
+  // The destructor's check: with no Ref out, every buffer ever allocated
+  // (each a miss) is parked, so the pool frees them all.
+  TypeParam P;
   {
-    SnapshotPool<VectorClock> P;
-    Survivor = P.acquire();
-    Survivor->resize(3);
-    Survivor->set(1, 7);
-    auto Parked = P.acquire();
-    Parked.reset(); // One buffer on the free list when the pool dies.
+    auto A = P.acquire();
+    auto B = P.acquire();
+    typename TypeParam::ConstRef Published = A;
+    A.reset();
+    EXPECT_EQ(P.freeCount(), 0u) << "the published snapshot holds it";
   }
-  ASSERT_TRUE(static_cast<bool>(Survivor));
-  EXPECT_EQ(Survivor->get(1), 7u) << "buffer outlives its pool";
-  Survivor.reset(); // Falls back to plain deletion; must not crash/leak.
+  auto C = P.acquire();
+  C.reset();
+  EXPECT_EQ(P.misses(), 2u);
+  EXPECT_EQ(P.hits(), 1u);
+  EXPECT_EQ(P.freeCount(), P.misses());
 }
 
 TEST(SnapshotPool, CrossThreadReleaseIsSafe) {
   // The online Runtime drops snapshot references on whichever thread
   // overwrites the sync object; acquire+release must tolerate that.
-  SnapshotPool<VectorClock> P;
+  using Pool = SnapshotPool<VectorClock, /*Concurrent=*/true>;
+  Pool P;
   constexpr int N = 64;
-  std::vector<SnapshotPool<VectorClock>::Ref> Refs;
+  std::vector<Pool::Ref> Refs;
   Refs.reserve(N);
   for (int I = 0; I < N; ++I)
     Refs.push_back(P.acquire());
@@ -191,24 +183,4 @@ TEST(SnapshotPoolIntegration, PooledRunRecyclesBuffersOnCowHeavyTrace) {
   // After warm-up (one buffer per thread in flight plus one per sync), all
   // breaks are served by the free list.
   EXPECT_GE(R.Stats.PoolHits + 4, R.Stats.CowBreaks);
-}
-
-TEST(SnapshotPoolIntegration, PooledAndUnpooledRunsAreBitIdentical) {
-  Trace T = cowHeavyTrace(100);
-  markTrace(T, 0.5, 99);
-  for (EngineKind K : {EngineKind::SamplingO, EngineKind::SamplingONoEpochOpt,
-                       EngineKind::TreeClockFull}) {
-    std::unique_ptr<Detector> Pooled = createDetector(K, T.numThreads());
-    std::unique_ptr<Detector> Unpooled = createDetector(K, T.numThreads());
-    Unpooled->setPoolingEnabled(false);
-    MarkedSampler S1, S2;
-    api::AnalysisSession().addDetector(*Pooled).withSampler(S1).run(T);
-    api::AnalysisSession().addDetector(*Unpooled).withSampler(S2).run(T);
-
-    EXPECT_EQ(Pooled->races(), Unpooled->races());
-    EXPECT_EQ(Unpooled->metrics().PoolHits, 0u);
-    Metrics A = Pooled->metrics(), B = Unpooled->metrics();
-    A.PoolHits = B.PoolHits = 0; // The only counter pooling may move.
-    EXPECT_EQ(A, B) << engineKindName(K);
-  }
 }

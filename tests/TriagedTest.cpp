@@ -722,6 +722,39 @@ TEST(TriagedServer, RefusesAHostileThreadUniverseAndKeepsServing) {
   S.stop();
 }
 
+TEST(TriagedServer, RefusesAHostileSyncUniverseAndKeepsServing) {
+  // A binary trace whose header declares 4e9 + 1 syncs and whose acquire
+  // names lock 4,000,000,000: analyzing it would grow each engine's sync
+  // table to 4e9 records. The server answers 422 with the session's reason
+  // and serves the next upload.
+  Server S({});
+  std::string Err;
+  ASSERT_TRUE(S.start(&Err)) << Err;
+  Client C("127.0.0.1", S.port());
+  Trace FarLock;
+  FarLock.acquire(0, 4000000000u);
+  FarLock.release(0, 4000000000u);
+  std::ostringstream Bin(std::ios::binary);
+  writeTraceBinary(Bin, FarLock);
+  Client::Response Resp;
+  ASSERT_TRUE(C.post("/v1/runs", "application/x-sampletrack-upload",
+                     frame(WireContent::BinaryTrace, Bin.str()), Resp, &Err))
+      << Err;
+  EXPECT_EQ(Resp.Status, 422);
+  EXPECT_NE(Resp.Body.find("sync universe of 4000000001 sync objects refused"),
+            std::string::npos)
+      << Resp.Body;
+
+  UploadOutcome Up;
+  ASSERT_TRUE(C.uploadTrace(racyTrace(3), Up, &Err)) << Err;
+  EXPECT_EQ(Up.Run, 1u);
+  EXPECT_GT(Up.Declared, 0u);
+  ServerStats St = S.stats();
+  EXPECT_EQ(St.UploadsRejected, 1u);
+  EXPECT_EQ(St.UploadsAccepted, 1u);
+  S.stop();
+}
+
 TEST(TriagedServer, SequenceGapTimesOutWith409) {
   ServerConfig Cfg;
   Cfg.SequenceTimeoutMillis = 200; // Fail fast; nothing will fill the gap.
